@@ -107,9 +107,6 @@ def cmd_sweep(args) -> int:
         raise UnknownElement(
             f"{target!r} is not an element of space {prior.space.name!r}"
         )
-    if args.steps < 1:
-        raise ValueError("steps must be a positive integer")
-
     y1, y2 = channel.codomain.elements
     fmt = (
         (lambda q: render_decimal(q, args.decimal))
@@ -288,6 +285,17 @@ def cmd_check(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softbayes",
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a query from a netspec file")
     p_eval.add_argument("file")
     p_eval.add_argument("query")
-    p_eval.add_argument("--decimal", type=int, default=None, metavar="N")
+    p_eval.add_argument("--decimal", type=_positive_int, default=None, metavar="N")
     p_eval.add_argument("--explain", action="store_true")
     p_eval.add_argument("--show-zeros", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
@@ -311,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--channel", required=True)
     p_sweep.add_argument("--prior", required=True)
     p_sweep.add_argument("--target", required=True)
-    p_sweep.add_argument("--steps", type=int, default=100)
-    p_sweep.add_argument("--decimal", type=int, default=None, metavar="N")
+    p_sweep.add_argument("--steps", type=_positive_int, default=100)
+    p_sweep.add_argument("--decimal", type=_positive_int, default=None, metavar="N")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_examples = sub.add_parser(

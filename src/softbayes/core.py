@@ -7,7 +7,7 @@ evidence); events are the {0, 1}-valued special case.  A *channel* maps
 each element of a domain space to a state on a codomain space, i.e. it is
 a conditional probability table / stochastic matrix.
 
-Everything is `fractions.Fraction` end to end.  Floats are rejected at the
+Every value is an exact rational end to end.  Floats are rejected at the
 boundary: the point of the library is that results like 117/2000 are exact,
 and no binary floating-point value may enter the pipeline.  All values are
 immutable after construction, so they can be shared freely across threads.
@@ -15,14 +15,28 @@ immutable after construction, so they can be shared freely across threads.
 Weight maps are total: every element of the space has an entry, and zero
 weights are stored rather than dropped.  Iteration always follows the
 space's element order, which makes rendering and CSV output deterministic.
+
+Representation: ``Fraction`` at the API, integers inside.  ``weights`` and
+``values`` are read-only maps of reduced fractions, but every state and
+predicate also carries its integer form, one numerator per element in space
+order over one shared denominator (the lcm of the fractions' denominators,
+so the form is canonical).  A channel lazily puts its rows over one common
+denominator.  The kernels multiply and add these integers and reduce to
+fractions once per result, rather than normalising a ``Fraction`` after
+every operation.  There is one validation layer, ``_check_numerators``, on
+the integer form: the public constructors put their fractions over the lcm
+and call it, and the kernels' results pass through it by way of the private
+``State._from_integers`` / ``Predicate._from_integers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DuplicateElement,
@@ -127,11 +141,60 @@ def _require_same_space(a: Space, b: Space, what: str) -> None:
 # states and predicates
 
 
-def _total_map(
-    space: Space, entries: Mapping[Element, Fraction]
-) -> Mapping[Element, Fraction]:
-    """Entries re-keyed in space order, zeros filled in, wrapped read-only."""
-    return MappingProxyType({x: entries.get(x, ZERO) for x in space.elements})
+def _check_numerators(
+    space: Space, nums: Sequence[int], den: int, what: str, is_state: bool
+) -> None:
+    """The one validation of a state or predicate, on its integer form.
+
+    Every nums[i] / den must lie in [0, 1]; for a state the numerators
+    must also sum to den.
+    """
+    for x, k in zip(space.elements, nums):
+        if k < 0 or k > den:
+            raise ValueOutOfRange(
+                f"{what} {Fraction(k, den)} at {render_element(x)} lies outside [0, 1]"
+            )
+    if is_state:
+        total = sum(nums)
+        if total != den:
+            raise WeightSumNotOne(
+                f"weights sum to {Fraction(total, den)}, expected 1"
+            )
+
+
+def _checked_init(value, entries_attr: str, what: str, is_state: bool) -> None:
+    """Validate a public construction: known elements and Fraction entries,
+    put over the lcm of their denominators and checked as integers."""
+    space, entries = value.space, getattr(value, entries_attr)
+    for x, w in entries.items():
+        space.require(x)
+        if not isinstance(w, Fraction):
+            raise TypeError(f"{what} at {render_element(x)} is not a Fraction")
+    full = [entries.get(x, ZERO) for x in space.elements]
+    den = lcm(*(w.denominator for w in full))
+    nums = tuple(w.numerator * (den // w.denominator) for w in full)
+    _check_numerators(space, nums, den, what, is_state)
+    full_map = MappingProxyType(dict(zip(space.elements, full)))
+    object.__setattr__(value, entries_attr, full_map)
+    object.__setattr__(value, "_nums", nums)
+    object.__setattr__(value, "_den", den)
+
+
+def _from_checked(
+    cls, space: Space, nums: Sequence[int], den: int, entries_attr: str
+):
+    """An instance from validated integers: reduced once, then one reduced
+    Fraction per element."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [k // g for k in nums], den // g
+    value = object.__new__(cls)
+    object.__setattr__(value, "space", space)
+    entries = {x: Fraction(k, den) if k else ZERO for x, k in zip(space.elements, nums)}
+    object.__setattr__(value, entries_attr, MappingProxyType(entries))
+    object.__setattr__(value, "_nums", tuple(nums))
+    object.__setattr__(value, "_den", den)
+    return value
 
 
 @dataclass(frozen=True)
@@ -140,20 +203,18 @@ class State:
 
     space: Space
     weights: Mapping[Element, Fraction]
+    # integer form: weights[x] == _nums[i] / _den, in space order
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for x, w in self.weights.items():
-            self.space.require(x)
-            if not isinstance(w, Fraction):
-                raise TypeError(f"weight at {render_element(x)} is not a Fraction")
-            if w < 0 or w > 1:
-                raise ValueOutOfRange(
-                    f"weight {w} at {render_element(x)} lies outside [0, 1]"
-                )
-        total = sum(self.weights.values(), ZERO)
-        if total != 1:
-            raise WeightSumNotOne(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "weights", _total_map(self.space, self.weights))
+        _checked_init(self, "weights", "weight", is_state=True)
+
+    @classmethod
+    def _from_integers(cls, space: Space, nums: Sequence[int], den: int) -> State:
+        """The state with weights nums[i] / den (den > 0), validated."""
+        _check_numerators(space, nums, den, "weight", is_state=True)
+        return _from_checked(cls, space, nums, den, "weights")
 
     def __call__(self, element: Element) -> Fraction:
         self.space.require(element)
@@ -163,11 +224,11 @@ class State:
         return iter(self.weights.items())
 
     def support(self) -> tuple[Element, ...]:
-        return tuple(x for x, w in self.weights.items() if w > 0)
+        return tuple(x for x, k in zip(self.space.elements, self._nums) if k)
 
     @property
     def has_full_support(self) -> bool:
-        return all(w > 0 for w in self.weights.values())
+        return all(self._nums)
 
     def __str__(self) -> str:
         return render_state(self)
@@ -182,17 +243,18 @@ class Predicate:
 
     space: Space
     values: Mapping[Element, Fraction]
+    # integer form: values[x] == _nums[i] / _den, in space order
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for x, v in self.values.items():
-            self.space.require(x)
-            if not isinstance(v, Fraction):
-                raise TypeError(f"value at {render_element(x)} is not a Fraction")
-            if v < 0 or v > 1:
-                raise ValueOutOfRange(
-                    f"value {v} at {render_element(x)} lies outside [0, 1]"
-                )
-        object.__setattr__(self, "values", _total_map(self.space, self.values))
+        _checked_init(self, "values", "value", is_state=False)
+
+    @classmethod
+    def _from_integers(cls, space: Space, nums: Sequence[int], den: int) -> Predicate:
+        """The predicate with values nums[i] / den (den > 0), validated."""
+        _check_numerators(space, nums, den, "value", is_state=False)
+        return _from_checked(cls, space, nums, den, "values")
 
     def __call__(self, element: Element) -> Fraction:
         self.space.require(element)
@@ -300,6 +362,10 @@ class Channel:
     domain: Space
     codomain: Space
     rows: Mapping[Element, State]
+    # (row numerators, L / row denominator per row, L), filled on first use
+    _common: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for x in self.rows:
@@ -321,6 +387,23 @@ class Channel:
     def __call__(self, element: Element) -> State:
         self.domain.require(element)
         return self.rows[element]
+
+    def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """The rows over one common denominator L, in domain order.
+
+        Row x is kept as its own numerators b_x over its denominator B_x,
+        with the scale L / B_x, so c(x)(y) = b_x[y] * (L / B_x) / L.
+        """
+        if self._common is None:
+            rows = self.rows.values()
+            big = lcm(*(row._den for row in rows))
+            common = (
+                tuple(row._nums for row in rows),
+                tuple(big // row._den for row in rows),
+                big,
+            )
+            object.__setattr__(self, "_common", common)
+        return self._common
 
     @property
     def is_deterministic(self) -> bool:
@@ -373,40 +456,60 @@ def lift_function(domain: Space, codomain: Space, f: Mapping[Element, Element]) 
 # the transformation calculus
 
 
+def _joint(c: Channel, sigma: State) -> tuple[list[int], tuple, int]:
+    """The joint sigma(x) * c(x)(y) as w[x] * rows[x][y] / den, in integers.
+
+    w[x] = a_x * L / B_x puts the prior numerators onto the channel's common
+    row denominator L, so every cell shares den = A * L.
+    """
+    rows, scales, big = c._integer_rows()
+    return list(map(mul, sigma._nums, scales)), rows, sigma._den * big
+
+
+def _predicted(w: Sequence[int], rows) -> list[int]:
+    """T[y] = sum_x w[x] * rows[x][y]: the prediction's numerators over A * L."""
+    return [sum(map(mul, w, column)) for column in zip(*rows)]
+
+
+def _pulled_back(w: Sequence[int], rows, q: Sequence[int]) -> list[int]:
+    """w[x] * sum_y rows[x][y] * q[y], for each x."""
+    return [wx * sum(map(mul, row, q)) for wx, row in zip(w, rows)]
+
+
+def _normalised(space: Space, nums: Sequence[int]) -> State:
+    """The state proportional to nonnegative numerators: one normalisation."""
+    total = sum(nums)
+    if total == 0:
+        raise ZeroValidity("cannot condition: predicate has validity 0")
+    return State._from_integers(space, nums, total)
+
+
 def state_transform(c: Channel, sigma: State) -> State:
     """Push a state forward through a channel (prediction): c >> sigma."""
     _require_same_space(sigma.space, c.domain, "state transformation")
-    weights = {
-        y: sum((sigma.weights[x] * c.rows[x].weights[y] for x in c.domain), ZERO)
-        for y in c.codomain.elements
-    }
-    return State(c.codomain, weights)
+    w, rows, den = _joint(c, sigma)
+    return State._from_integers(c.codomain, _predicted(w, rows), den)
 
 
 def predicate_transform(c: Channel, q: Predicate) -> Predicate:
     """Pull a predicate backward through a channel: c << q."""
     _require_same_space(q.space, c.codomain, "predicate transformation")
-    values = {
-        x: sum((c.rows[x].weights[y] * q.values[y] for y in c.codomain), ZERO)
-        for x in c.domain.elements
-    }
-    return Predicate(c.domain, values)
+    rows, scales, big = c._integer_rows()
+    return Predicate._from_integers(
+        c.domain, _pulled_back(scales, rows, q._nums), big * q._den
+    )
 
 
 def validity(sigma: State, p: Predicate) -> Fraction:
     """The expected value of p in sigma: sigma |= p."""
     _require_same_space(sigma.space, p.space, "validity")
-    return sum((sigma.weights[x] * p.values[x] for x in sigma.space), ZERO)
+    return Fraction(sum(map(mul, sigma._nums, p._nums)), sigma._den * p._den)
 
 
 def condition(sigma: State, p: Predicate) -> State:
     """The updated state sigma|_p; undefined when sigma |= p is 0."""
-    v = validity(sigma, p)
-    if v == 0:
-        raise ZeroValidity("cannot condition: predicate has validity 0")
-    return State(
-        sigma.space, {x: sigma.weights[x] * p.values[x] / v for x in sigma.space}
-    )
+    _require_same_space(sigma.space, p.space, "validity")
+    return _normalised(sigma.space, list(map(mul, sigma._nums, p._nums)))
 
 
 def compose(d: Channel, c: Channel) -> Channel:
@@ -419,13 +522,11 @@ def compose(d: Channel, c: Channel) -> Channel:
 
 def product_state(sigma: State, omega: State) -> State:
     """The independent product on the product space: weight sigma(x)*omega(y)."""
-    space = product_space(sigma.space, omega.space)
-    weights = {
-        (x, y): sigma.weights[x] * omega.weights[y]
-        for x in sigma.space.elements
-        for y in omega.space.elements
-    }
-    return State(space, weights)
+    return State._from_integers(
+        product_space(sigma.space, omega.space),
+        [a * b for a in sigma._nums for b in omega._nums],
+        sigma._den * omega._den,
+    )
 
 
 def marginal(tau: State, which: str) -> State:
@@ -438,21 +539,41 @@ def marginal(tau: State, which: str) -> State:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
     pick = 0 if which == "first" else 1
     target = tau.space.left if which == "first" else tau.space.right
-    weights = {z: ZERO for z in target.elements}
-    for (pair, w) in tau.weights.items():
-        weights[pair[pick]] += w
-    return State(target, weights)
+    sums = dict.fromkeys(target.elements, 0)
+    for pair, k in zip(tau.space.elements, tau._nums):
+        sums[pair[pick]] += k
+    return State._from_integers(target, list(sums.values()), tau._den)
 
 
 # ---------------------------------------------------------------------------
 # rendering (the canonical golden-test representation)
 
 
+# Digits per chunk when printing an integer: below CPython's int/str limit
+# (4300 digits by default), which stays in force because it guards parsing.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of an integer of any size."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    chunks = []
+    while n:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(low)
+    head = str(chunks.pop())
+    return head + "".join(str(c).zfill(_CHUNK_DIGITS) for c in reversed(chunks))
+
+
 def render_fraction(q: Fraction) -> str:
     """``1/2`` style; whole numbers render bare (``0``, ``1``)."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def render_decimal(q: Fraction, digits: int) -> str:
@@ -461,7 +582,7 @@ def render_decimal(q: Fraction, digits: int) -> str:
         raise ValueError("digits must be >= 1")
     scaled = round(q * Fraction(10) ** digits)  # Fraction round: ties to even
     sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
+    text = _int_text(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 

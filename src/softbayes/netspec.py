@@ -245,6 +245,14 @@ def tokenize(source: str) -> tuple[list[Token], list[ParseDiagnostic]]:
                     ParseDiagnostic("error", line, col, "zero denominator", text)
                 )
                 value = Fraction(0)
+            except ValueError:  # past the interpreter's int/str digit limit
+                diagnostics.append(
+                    ParseDiagnostic(
+                        "error", line, col,
+                        f"number literal too long ({len(text)} characters)", text,
+                    )
+                )
+                value = Fraction(0)
             tokens.append(Token("NUMBER", text, line, col, value))
         elif kind == "ident":
             tokens.append(Token("IDENT", text, line, col))

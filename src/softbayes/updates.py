@@ -29,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from math import lcm
+from operator import mul
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import core
 from .core import (
@@ -72,29 +74,54 @@ def dagger(c: Channel, sigma: State) -> Channel:
     the predicted state c >> sigma to have full support; raises
     NotFullSupport naming the first offending element otherwise.
     """
-    rows = _dagger_rows(c, sigma, c.codomain.elements)
-    return Channel(c.codomain, c.domain, rows)
+    w, rows, predicted, _ = _prediction(c, sigma)
+    return Channel(
+        c.codomain,
+        c.domain,
+        _inverted_rows(c, w, rows, predicted, range(len(predicted))),
+    )
 
 
-def _dagger_rows(
-    c: Channel, sigma: State, needed: Iterable[Element]
-) -> dict[Element, State]:
+def _prediction(c: Channel, sigma: State):
+    """The integer joint (w, rows, den) and the prediction's numerators,
+    computed once for everything an inversion needs."""
     core._require_same_space(sigma.space, c.domain, "inversion")
-    tau = state_transform(c, sigma)
-    rows: dict[Element, State] = {}
-    for y in needed:
-        mass = tau.weights[y]
-        if mass == 0:
+    w, rows, den = core._joint(c, sigma)
+    return w, rows, core._predicted(w, rows), den
+
+
+def _require_support(c: Channel, predicted: list[int], needed: Sequence[int]) -> None:
+    """NotFullSupport at the first needed element the prediction misses."""
+    for j in needed:
+        if predicted[j] == 0:
+            y = c.codomain.elements[j]
             raise NotFullSupport(
                 f"cannot invert: predicted state has weight 0 at "
                 f"{render_element(y)}",
                 element=y,
             )
-        rows[y] = State(
-            c.domain,
-            {x: sigma.weights[x] * c.rows[x].weights[y] / mass for x in c.domain},
+
+
+def _inverted_rows(
+    c: Channel, w: list[int], rows, predicted: list[int], needed: Sequence[int]
+) -> dict[Element, State]:
+    """Row y is w[x] * rows[x][y] / predicted[y]; it sums to 1 by construction."""
+    _require_support(c, predicted, needed)
+    columns = list(zip(*rows))
+    return {
+        c.codomain.elements[j]: State._from_integers(
+            c.domain, list(map(mul, w, columns[j])), predicted[j]
         )
-    return rows
+        for j in needed
+    }
+
+
+def _evidence_indices(rho: State, relaxed: bool) -> Sequence[int]:
+    """Where the inversion must exist: everywhere, or (relaxed) only where
+    the evidence has weight."""
+    if relaxed:
+        return [j for j, k in enumerate(rho._nums) if k]
+    return range(len(rho._nums))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +129,15 @@ def _dagger_rows(
 
 
 def pearl_update(sigma: State, c: Channel, q: Predicate) -> State:
-    """Factor predicate evidence in by backward inference: sigma|_(c << q)."""
-    return condition(sigma, predicate_transform(c, q))
+    """Factor predicate evidence in by backward inference: sigma|_(c << q).
+
+    Computed in one normalisation: the weight at x is proportional to
+    sigma(x) * (c << q)(x), with no intermediate predicate.
+    """
+    core._require_same_space(q.space, c.codomain, "predicate transformation")
+    core._require_same_space(sigma.space, c.domain, "validity")
+    w, rows, _ = core._joint(c, sigma)
+    return core._normalised(sigma.space, core._pulled_back(w, rows, q._nums))
 
 
 def jeffrey_update(
@@ -116,16 +150,31 @@ def jeffrey_update(
     support gaps as long as the evidence avoids them.
     """
     core._require_same_space(rho.space, c.codomain, "Jeffrey update")
-    needed = rho.support() if relaxed else c.codomain.elements
-    rows = _dagger_rows(c, sigma, needed)
-    weights = {x: ZERO for x in sigma.space.elements}
-    for y in needed:
-        r = rho.weights[y]
-        if r == 0:
-            continue
-        for x, w in rows[y].weights.items():
-            weights[x] += r * w
-    return State(sigma.space, weights)
+    w, rows, predicted, _ = _prediction(c, sigma)
+    return _jeffrey_posterior(
+        c, w, rows, predicted, rho, _evidence_indices(rho, relaxed)
+    )
+
+
+def _jeffrey_posterior(
+    c: Channel, w: list[int], rows, predicted: list[int], rho: State,
+    needed: Sequence[int],
+) -> State:
+    """Jeffrey's rule through its translation to Pearl's rule.
+
+    The posterior is sigma conditioned on c << (rho / tau), tau = c >> sigma
+    (the ratio predicate; Chan & Darwiche's virtual evidence).  In integers,
+    with T = predicted and D the lcm of T[y] where rho has weight, the ratio
+    predicate is r_y * D / T[y] and the weight at x is
+    w[x] * sum_y rows[x][y] * r_y * D / T[y], over R * D exactly.
+    """
+    _require_support(c, predicted, needed)
+    r = rho._nums
+    big = lcm(*(t for k, t in zip(r, predicted) if k))
+    ratio = [k * (big // t) if k else 0 for k, t in zip(r, predicted)]
+    return State._from_integers(
+        c.domain, core._pulled_back(w, rows, ratio), rho._den * big
+    )
 
 
 def forward_inference(sigma: State, c: Channel, p: Predicate) -> State:
@@ -144,10 +193,10 @@ def state_to_predicate(rho: State) -> Predicate:
 
 def normalize_predicate(p: Predicate) -> State:
     """Normalise a predicate with positive total value to a state."""
-    total = sum(p.values.values(), ZERO)
+    total = sum(p._nums)
     if total == 0:
         raise ValueOutOfRange("cannot normalise the zero predicate to a state")
-    return State(p.space, {x: v / total for x, v in p.values.items()})
+    return State._from_integers(p.space, p._nums, total)
 
 
 def state_to_predicate_ratio(rho: State, tau: State) -> Predicate:
@@ -199,35 +248,44 @@ def partition_jeffrey(f: Channel, omega: State, rho: State) -> State:
     Computes sum_i rho(i) * omega|_(1_{U_i}) over the blocks U_i = f^{-1}(i).
     Agrees exactly with ``jeffrey_update(omega, f, rho, relaxed=True)``;
     stated separately because the block form needs no inversion machinery.
+    In integers, with M_i the prior numerator mass of block i and D the lcm
+    of M_i where rho has weight, x in U_i gets a_x * r_i * D / M_i over R * D.
     """
     core._require_same_space(omega.space, f.domain, "partition update")
     core._require_same_space(rho.space, f.codomain, "partition update")
     blocks = partition_blocks(f)
-    weights = {x: ZERO for x in omega.space.elements}
-    for i, r in rho.weights.items():
-        if r == 0:
-            continue
-        block_mass = sum((omega.weights[x] for x in blocks[i]), ZERO)
-        if block_mass == 0:
+    prior = dict(zip(omega.space.elements, omega._nums))
+    evidence = dict(zip(rho.space.elements, rho._nums))
+    mass = {i: sum(prior[x] for x in xs) for i, xs in blocks.items()}
+    for i, r in evidence.items():
+        if r and mass[i] == 0:
             raise EmptyBlockWithMass(
-                f"evidence gives mass {r} to block {render_element(i)} "
-                "whose prior mass is 0"
+                f"evidence gives mass {rho.weights[i]} to block "
+                f"{render_element(i)} whose prior mass is 0"
             )
-        for x in blocks[i]:
-            weights[x] += r * omega.weights[x] / block_mass
-    return State(omega.space, weights)
+    big = lcm(*(mass[i] for i, r in evidence.items() if r))
+    nums = dict.fromkeys(omega.space.elements, 0)
+    for i, xs in blocks.items():
+        share = evidence[i] * (big // mass[i]) if evidence[i] else 0
+        for x in xs:
+            nums[x] = prior[x] * share
+    return State._from_integers(omega.space, list(nums.values()), rho._den * big)
 
 
 def _event_masses(
     omega: State, event: Iterable[Element]
-) -> tuple[frozenset, Fraction, Fraction]:
+) -> tuple[frozenset, int, int]:
+    """The event's members and its prior numerator mass inside and outside,
+    over omega's denominator."""
     members = frozenset(event)
     if not members:
         raise DegenerateEvent("event must be a nonempty set of elements")
     for x in members:
         omega.space.require(x)
-    inside = sum((omega.weights[x] for x in members), ZERO)
-    return members, inside, ONE - inside
+    inside = sum(
+        k for x, k in zip(omega.space.elements, omega._nums) if x in members
+    )
+    return members, inside, omega._den - inside
 
 
 def atc_update(omega: State, event: Iterable[Element], strength) -> State:
@@ -248,13 +306,15 @@ def atc_update(omega: State, event: Iterable[Element], strength) -> State:
         raise DegenerateEvent(
             f"event complement has prior mass 0 but target validity {q}"
         )
-    weights = {}
-    for x in omega.space.elements:
-        if x in members:
-            weights[x] = q * omega.weights[x] / inside if q > 0 else ZERO
-        else:
-            weights[x] = (ONE - q) * omega.weights[x] / outside if q < 1 else ZERO
-    return State(omega.space, weights)
+    # q = m / n: inside gets m * a_x / inside, outside (n - m) * a_x / outside;
+    # an empty side carries no weight, so 1 stands in for its mass
+    m, n = q.numerator, q.denominator
+    inside, outside = inside or 1, outside or 1
+    nums = [
+        (m * outside if x in members else (n - m) * inside) * a
+        for x, a in zip(omega.space.elements, omega._nums)
+    ]
+    return State._from_integers(omega.space, nums, n * inside * outside)
 
 
 def nec_update(omega: State, event: Iterable[Element], factor) -> State:
@@ -268,16 +328,15 @@ def nec_update(omega: State, event: Iterable[Element], factor) -> State:
     if k <= 0:
         raise ValueOutOfRange(f"Bayes factor must be positive, got {k}")
     members, inside, outside = _event_masses(omega, event)
-    denom = k * inside + outside
+    m, n = k.numerator, k.denominator
+    denom = m * inside + n * outside
     if denom == 0:
         raise DegenerateDenominator("event split has total weighted mass 0")
-    return State(
-        omega.space,
-        {
-            x: (k if x in members else ONE) * omega.weights[x] / denom
-            for x in omega.space.elements
-        },
-    )
+    nums = [
+        (m if x in members else n) * a
+        for x, a in zip(omega.space.elements, omega._nums)
+    ]
+    return State._from_integers(omega.space, nums, denom)
 
 
 def blend_update(s, jr: State, pr: State) -> State:
@@ -286,9 +345,12 @@ def blend_update(s, jr: State, pr: State) -> State:
     if s < 0 or s > 1:
         raise ValueOutOfRange(f"blend weight {s} lies outside [0, 1]")
     core._require_same_space(jr.space, pr.space, "blend")
-    return State(
+    m, n = s.numerator, s.denominator
+    jw, pw = m * pr._den, (n - m) * jr._den
+    return State._from_integers(
         jr.space,
-        {x: s * jr.weights[x] + (ONE - s) * pr.weights[x] for x in jr.space},
+        [jw * j + pw * p for j, p in zip(jr._nums, pr._nums)],
+        n * jr._den * pr._den,
     )
 
 
@@ -387,15 +449,18 @@ def pearl_report(sigma: State, c: Channel, q: Predicate) -> UpdateReport:
 def jeffrey_report(
     sigma: State, c: Channel, rho: State, *, relaxed: bool = False
 ) -> UpdateReport:
-    posterior = jeffrey_update(sigma, c, rho, relaxed=relaxed)
-    needed = rho.support() if relaxed else c.codomain.elements
-    rows = _dagger_rows(c, sigma, needed)
+    core._require_same_space(rho.space, c.codomain, "Jeffrey update")
+    w, rows, predicted, den = _prediction(c, sigma)
+    needed = _evidence_indices(rho, relaxed)
     return UpdateReport(
         rule="jeffrey",
         prior=sigma,
         evidence=StateEvidence(rho),
-        posterior=posterior,
-        intermediate={"inverted_rows": rows, "prediction": state_transform(c, sigma)},
+        posterior=_jeffrey_posterior(c, w, rows, predicted, rho, needed),
+        intermediate={
+            "inverted_rows": _inverted_rows(c, w, rows, predicted, needed),
+            "prediction": State._from_integers(c.codomain, predicted, den),
+        },
     )
 
 

@@ -103,6 +103,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "no_such_file.netspec", "prior")
         assert code == 2
 
+    def test_overlong_number_literal_exits_two_with_position(self, capsys, tmp_path):
+        f = tmp_path / "huge.netspec"
+        literal = "1" * 5000  # past Python's int/str digit limit
+        f.write_text(f"space s = {{ a, b }}\nstate p : s = {{ a: {literal}, b: 0 }}\n")
+        code, out, err = run(capsys, "eval", str(f), "p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("2:20: error: number literal too long")
+
 
 class TestSweep:
     def test_header_and_rows(self, capsys, disease_file):
@@ -235,6 +244,29 @@ class TestCheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--steps", "0"], ["--decimal", "-3"], ["--decimal", "0"]],
+        ids=["steps-0", "decimal-negative", "decimal-0"],
+    )
+    def test_nonpositive_counts_rejected_before_output(
+        self, capsys, disease_file, flags
+    ):
+        argv = ["sweep", disease_file, "--channel", "sens", "--prior", "prior",
+                "--target", "d", *flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive integer" in captured.err
+
+    def test_eval_decimal_must_be_positive(self, capsys, disease_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", disease_file, "prior", "--decimal", "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,11 +1,14 @@
 """Core value types and the transformation calculus, against worked values."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from softbayes import (
+    Predicate,
     Space,
+    State,
     compose,
     condition,
     conjunction,
@@ -108,6 +111,52 @@ class TestMakeState:
         sp = Space("q", ("e", "~e"))
         st = make_state(sp, {"e": "0.000001", "~e": "0.999999"})
         assert st("e") == F(1, 10**6)
+
+
+class TestIntegerForm:
+    """The public constructors and the kernels' integer constructor share
+    one validation; bad input fails the same way through either."""
+
+    SP = Space("disease", ("d", "~d"))
+
+    def test_non_fraction_weight(self):
+        with pytest.raises(TypeError, match="weight at d is not a Fraction"):
+            State(self.SP, {"d": 1, "~d": F(0)})
+        with pytest.raises(TypeError):
+            State._from_integers(self.SP, (0.5, 0.5), 1)
+        with pytest.raises(TypeError, match="value at d is not a Fraction"):
+            Predicate(self.SP, {"d": 1})
+
+    def test_weight_out_of_range(self):
+        message = r"^weight 3/2 at d lies outside \[0, 1\]$"
+        with pytest.raises(ValueOutOfRange, match=message):
+            State(self.SP, {"d": F(3, 2), "~d": F(-1, 2)})
+        with pytest.raises(ValueOutOfRange, match=message):
+            State._from_integers(self.SP, (3, -1), 2)
+        message = r"^value -1/4 at ~d lies outside \[0, 1\]$"
+        with pytest.raises(ValueOutOfRange, match=message):
+            Predicate(self.SP, {"d": F(1), "~d": F(-1, 4)})
+        with pytest.raises(ValueOutOfRange, match=message):
+            Predicate._from_integers(self.SP, (4, -1), 4)
+
+    def test_weight_sum_not_one(self):
+        message = r"^weights sum to 5/6, expected 1$"
+        with pytest.raises(WeightSumNotOne, match=message):
+            State(self.SP, {"d": F(1, 2), "~d": F(1, 3)})
+        with pytest.raises(WeightSumNotOne, match=message):
+            State._from_integers(self.SP, (3, 2), 6)
+
+    def test_integer_form_is_canonical_and_invisible(self):
+        public = State(self.SP, {"d": F(1, 4), "~d": F(3, 4)})
+        kernel = State._from_integers(self.SP, [6, 18], 24)
+        assert (public._nums, public._den) == (kernel._nums, kernel._den) == ((1, 3), 4)
+        assert public == kernel
+        assert repr(public) == repr(kernel) == "<State 1/4|d> + 3/4|~d> on 'disease'>"
+        assert list(kernel.weights.values()) == [F(1, 4), F(3, 4)]
+        assert public != State(self.SP, {"d": F(3, 4), "~d": F(1, 4)})
+        pred = Predicate._from_integers(self.SP, [2, 0], 4)
+        assert pred == Predicate(self.SP, {"d": F(1, 2)})
+        assert repr(pred) == "<Predicate {d: 1/2, ~d: 0} on 'disease'>"
 
 
 class TestStateTransform:
@@ -358,6 +407,23 @@ class TestRendering:
         assert render_fraction(F(2)) == "2"
         assert render_fraction(F(0)) == "0"
         assert render_fraction(F(148, 4702)) == "74/2351"
+
+    def test_rendering_beyond_the_int_str_digit_limit(self):
+        q = F(10**5000 + 1, 3)
+        text = render_fraction(q)
+        assert text == "1" + "0" * 4999 + "1/3"
+        assert render_fraction(-q) == "-" + text
+        assert render_decimal(q, 2) == "3" * 5000 + ".67"
+        set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.11
+        if set_limit is None:
+            assert F(text) == q
+            return
+        limit = sys.get_int_max_str_digits()
+        set_limit(0)
+        try:
+            assert F(text) == q
+        finally:
+            set_limit(limit)
 
     def test_decimal_rendering_exact_rounding(self):
         assert render_decimal(F(117, 2000), 4) == "0.0585"

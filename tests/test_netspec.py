@@ -68,6 +68,15 @@ class TestTokenizer:
         _, diags = tokenize("space s = { a; b }")
         assert diags and diags[0].token == ";"
 
+    def test_overlong_number_literal_diagnosed_at_its_position(self):
+        # past Python's int/str digit limit, which guards parsing
+        source = "space s = { a, b }\nstate p : s = { a: 1, b: " + "0" * 5000 + " }\n"
+        with pytest.raises(NetspecError) as err:
+            load(source)
+        diag = err.value.diagnostics[0]
+        assert (diag.line, diag.column) == (2, 26)
+        assert str(diag) == "2:26: error: number literal too long (5000 characters)"
+
 
 class TestParse:
     def test_disease_network_parses_to_four_declarations(self):

@@ -7,6 +7,7 @@ honest states/channels with modest denominators.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from softbayes import (
@@ -36,6 +37,14 @@ from softbayes import (
     validity,
 )
 from softbayes.core import Channel, Predicate
+from softbayes.errors import NotFullSupport, ZeroMass, ZeroValidity
+from softbayes.oracle import (
+    joint_of,
+    oracle_dagger_row,
+    oracle_jeffrey,
+    oracle_pearl,
+    y_marginal,
+)
 
 MAX_NUM = 20
 
@@ -335,3 +344,71 @@ class TestEventFormLaws:
         assert nec_update(omega, event, k) == pearl_update(
             omega, identity_channel(space), pred
         )
+
+
+@st.composite
+def sparse_instance(draw):
+    """(sigma, c, rho, q) with about half of all numerators 0, so zero prior
+    weights, zero predicate values and gaps in c >> sigma all occur."""
+    dom = _space("x", draw(st.integers(2, 4)))
+    cod = _space("y", draw(st.integers(2, 4)))
+    num = st.one_of(st.just(0), st.integers(1, MAX_NUM))
+
+    def state(space):
+        nums = draw(
+            st.lists(num, min_size=len(space), max_size=len(space)).filter(
+                lambda ns: sum(ns) > 0
+            )
+        )
+        return State(space, {x: F(n, sum(nums)) for x, n in zip(space, nums)})
+
+    sigma = state(dom)
+    c = Channel(dom, cod, {x: state(cod) for x in dom})
+    q = Predicate(cod, {y: F(draw(num), MAX_NUM) for y in cod})
+    return sigma, c, state(cod), q
+
+
+class TestIntegerKernelAgainstOracle:
+    """The integer kernel equals brute-force enumeration over the joint
+    table exactly, and fails exactly where the enumeration has no mass."""
+
+    @given(sparse_instance())
+    def test_pearl(self, instance):
+        sigma, c, _, q = instance
+        try:
+            expected = oracle_pearl(joint_of(sigma, c), q.values)
+        except ZeroMass:
+            with pytest.raises(ZeroValidity):
+                pearl_update(sigma, c, q)
+        else:
+            assert pearl_update(sigma, c, q) == expected
+
+    @given(sparse_instance(), st.booleans())
+    def test_jeffrey_strict_and_relaxed(self, instance, relaxed):
+        sigma, c, rho, _ = instance
+        joint = joint_of(sigma, c)
+        predicted = y_marginal(joint)
+        needed = rho.support() if relaxed else c.codomain.elements
+        gaps = [y for y in needed if predicted(y) == 0]
+        if gaps:
+            with pytest.raises(NotFullSupport) as err:
+                jeffrey_update(sigma, c, rho, relaxed=relaxed)
+            assert err.value.element == gaps[0]
+        else:
+            assert jeffrey_update(sigma, c, rho, relaxed=relaxed) == oracle_jeffrey(
+                joint, rho
+            )
+
+    @given(sparse_instance())
+    def test_dagger_rows(self, instance):
+        sigma, c, _, _ = instance
+        joint = joint_of(sigma, c)
+        gaps = [y for y, w in y_marginal(joint).items() if w == 0]
+        if gaps:
+            with pytest.raises(NotFullSupport) as err:
+                dagger(c, sigma)
+            assert err.value.element == gaps[0]
+        else:
+            inverse = dagger(c, sigma)
+            for y in c.codomain:
+                assert inverse.rows[y] == oracle_dagger_row(joint, y)
