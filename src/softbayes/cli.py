@@ -35,8 +35,21 @@ EXIT_USAGE = 2
 
 
 def _load_file(path: str) -> netspec.Environment:
-    source = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        source = _text(data)
+    except UnicodeDecodeError as exc:  # positioned like any other bad character
+        before = _text(data[: exc.start])
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        diagnostic = netspec.ParseDiagnostic("error", line, column, message)
+        raise NetspecError([diagnostic]) from None
     return netspec.load(source)
+
+
+def _text(data: bytes) -> str:
+    """UTF-8 with universal newlines, as reading the file in text mode gives."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _render_value(result: netspec.QueryResult, args, decimal=None) -> str:
@@ -346,7 +359,7 @@ def main(argv=None) -> int:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # FILE missing, a directory, unreadable, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SoftbayesError, ValueError) as exc:

@@ -86,3 +86,7 @@ class ZeroMass(SoftbayesError):
 
 class NonBinaryEvidenceSpace(SoftbayesError):
     """The sweep needs a binary evidence space for its parameter."""
+
+
+class NestingTooDeep(SoftbayesError):
+    """A chain of query references is too deep to evaluate."""

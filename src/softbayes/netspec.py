@@ -31,11 +31,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from types import ModuleType
+from typing import Callable, Optional, Union
 
 from . import core, updates
 from .core import Channel, Element, Predicate, Space, State
-from .errors import SoftbayesError, SpaceMismatch
+from .errors import NestingTooDeep, SoftbayesError, SpaceMismatch
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -157,23 +158,162 @@ STATE, PRED, CHAN, SCALAR, EVENT, WHICH, FACTOR = (
     "factor",
 )
 
-OP_SIGNATURES: dict[str, tuple[tuple[str, ...], str]] = {
-    "transform": ((CHAN, STATE), STATE),
-    "predtransform": ((CHAN, PRED), PRED),
-    "validity": ((STATE, PRED), SCALAR),
-    "condition": ((STATE, PRED), STATE),
-    "compose": ((CHAN, CHAN), CHAN),
-    "dagger": ((CHAN, STATE), CHAN),
-    "pearl": ((STATE, CHAN, PRED), STATE),
-    "jeffrey": ((STATE, CHAN, STATE), STATE),
-    "product": ((STATE, STATE), STATE),
-    "marginal": ((STATE, WHICH), STATE),
-    "atc": ((STATE, EVENT, SCALAR), STATE),
-    "nec": ((STATE, EVENT, FACTOR), STATE),
-    "blend": ((SCALAR, STATE, STATE), STATE),
+# -- space rules: argument space info -> (result kind, result space info) ----
+# Space info is the Space of a state or predicate, the (domain, codomain)
+# pair of a channel, None for a scalar expression, and the literal itself
+# for literal arguments.  A conflict raises SpaceMismatch with the bare
+# message; check_expr places it in the query.
+
+
+def _transform_space(chan, space):
+    dom, cod = chan
+    if space != dom:
+        raise SpaceMismatch(
+            f"state on {space.name!r} cannot flow through channel from {dom.name!r}"
+        )
+    return STATE, cod
+
+
+def _predtransform_space(chan, space):
+    dom, cod = chan
+    if space != cod:
+        raise SpaceMismatch(
+            f"predicate on {space.name!r} does not match channel codomain "
+            f"{cod.name!r}"
+        )
+    return PRED, dom
+
+
+def _condition_space(state_space, pred_space):
+    if state_space != pred_space:
+        raise SpaceMismatch(
+            f"state on {state_space.name!r} but predicate on {pred_space.name!r}"
+        )
+    return STATE, state_space
+
+
+def _validity_space(state_space, pred_space):
+    _condition_space(state_space, pred_space)
+    return SCALAR, None
+
+
+def _compose_space(outer, inner):
+    (d_dom, d_cod), (c_dom, c_cod) = outer, inner
+    if c_cod != d_dom:
+        raise SpaceMismatch(
+            f"cannot compose: inner codomain {c_cod.name!r} is not outer "
+            f"domain {d_dom.name!r}"
+        )
+    return CHAN, (c_dom, d_cod)
+
+
+def _dagger_space(chan, prior_space):
+    dom, cod = chan
+    if prior_space != dom:
+        raise SpaceMismatch(
+            f"prior on {prior_space.name!r} does not match channel domain "
+            f"{dom.name!r}"
+        )
+    return CHAN, (cod, dom)
+
+
+def _update_space(prior_space, chan, evidence_space):
+    dom, cod = chan
+    if prior_space != dom:
+        raise SpaceMismatch(
+            f"prior on {prior_space.name!r} vs channel domain {dom.name!r}"
+        )
+    if evidence_space != cod:
+        raise SpaceMismatch(
+            f"evidence on {evidence_space.name!r} vs channel codomain "
+            f"{cod.name!r}"
+        )
+    return STATE, prior_space
+
+
+def _product_space(left, right):
+    return STATE, core.product_space(left, right)
+
+
+def _marginal_space(space, which):
+    if not isinstance(space, core.ProductSpace):
+        raise SpaceMismatch(f"marginal needs a product-space state, got {space.name!r}")
+    return STATE, space.left if which == "first" else space.right
+
+
+def _event_space(space, event, _amount):
+    for x in event.elements:
+        if x not in space:
+            raise SpaceMismatch(
+                f"event element {core.render_element(x)!r} is not in "
+                f"space {space.name!r}"
+            )
+    return STATE, space
+
+
+def _blend_space(_s, jeffrey_space, pearl_space):
+    if jeffrey_space != pearl_space:
+        raise SpaceMismatch(
+            f"blend arms live on different spaces {jeffrey_space.name!r} and "
+            f"{pearl_space.name!r}"
+        )
+    return STATE, jeffrey_space
+
+
+@dataclass(frozen=True)
+class Operation:
+    """A query operation, defined once for the parser, checker and evaluator.
+
+    ``args`` are the argument kinds the parser reads and ``space`` is the
+    static space rule.  ``kernel`` computes the value and ``report``, for
+    the update rules, the value with its working for ``--explain``.  Both
+    name functions of ``module`` and are looked up at each call, so a
+    module function replaced at run time (by a tracer, say) is the one used.
+    """
+
+    args: tuple[str, ...]
+    space: Callable[..., tuple[str, object]]
+    module: ModuleType
+    kernel: str
+    report: Optional[str] = None
+
+
+OPERATIONS: dict[str, Operation] = {
+    "transform": Operation((CHAN, STATE), _transform_space, core, "state_transform"),
+    "predtransform": Operation(
+        (CHAN, PRED), _predtransform_space, core, "predicate_transform"
+    ),
+    "validity": Operation((STATE, PRED), _validity_space, core, "validity"),
+    "condition": Operation((STATE, PRED), _condition_space, core, "condition"),
+    "compose": Operation((CHAN, CHAN), _compose_space, core, "compose"),
+    "dagger": Operation((CHAN, STATE), _dagger_space, updates, "dagger"),
+    "pearl": Operation(
+        (STATE, CHAN, PRED), _update_space, updates, "pearl_update", "pearl_report"
+    ),
+    "jeffrey": Operation(
+        (STATE, CHAN, STATE), _update_space, updates, "jeffrey_update",
+        "jeffrey_report",
+    ),
+    "product": Operation((STATE, STATE), _product_space, core, "product_state"),
+    "marginal": Operation((STATE, WHICH), _marginal_space, core, "marginal"),
+    "atc": Operation(
+        (STATE, EVENT, SCALAR), _event_space, updates, "atc_update", "atc_report"
+    ),
+    "nec": Operation(
+        (STATE, EVENT, FACTOR), _event_space, updates, "nec_update", "nec_report"
+    ),
+    "blend": Operation(
+        (SCALAR, STATE, STATE), _blend_space, updates, "blend_update",
+        "blend_report",
+    ),
 }
 
 DECL_KEYWORDS = ("space", "state", "channel", "predicate", "function", "query")
+
+# Deepest nesting of calls and element pairs the parser accepts; it keeps
+# every recursive pass over one declaration far inside the interpreter's
+# recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +417,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # calls and element pairs open at the current token
         self.diagnostics: list[ParseDiagnostic] = []
         # symbol tables for single-pass reference checking
         self.spaces: dict[str, tuple] = {}
@@ -317,6 +458,12 @@ class _Parser:
             raise self.fail(tok, f"{tok.text!r} is a reserved keyword")
         return tok
 
+    def descend(self, tok: Token) -> None:
+        """Open one more nesting level at tok; leave with ``depth -= 1``."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(tok, f"nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+
     def synchronise(self) -> None:
         while True:
             tok = self.peek()
@@ -325,6 +472,29 @@ class _Parser:
             ):
                 return
             self.advance()
+
+    # -- shapes shared by declarations -------------------------------------
+
+    def parse_braced(self, parse_item, opening: str = "'{'") -> list:
+        """``{ item (, item)* }``: one or more comma-separated items."""
+        self.expect("LBRACE", opening)
+        items = [parse_item()]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            items.append(parse_item())
+        self.expect("RBRACE", "'}'")
+        return items
+
+    def parse_key(self, allowed: tuple, seen: set, outside: str, twice: str):
+        """An element of ``allowed`` not yet in ``seen``, which it joins."""
+        tok = self.peek()
+        element = self.parse_element()
+        if element not in allowed:
+            raise self.fail(tok, f"{core.render_element(element)!r} {outside}")
+        if element in seen:
+            raise self.fail(tok, f"{twice} {core.render_element(element)} listed twice")
+        seen.add(element)
+        return element
 
     # -- declarations ------------------------------------------------------
 
@@ -340,6 +510,7 @@ class _Parser:
             try:
                 decl = getattr(self, f"parse_{tok.text}")()
             except _Recover:
+                self.depth = 0
                 self.synchronise()
                 continue
             decls.append(decl)
@@ -359,15 +530,7 @@ class _Parser:
         name = self.expect_ident("space name")
         self.declare("space", name)
         self.expect("EQUALS", "'='")
-        self.expect("LBRACE", "'{'")
-        elements: list[Element] = []
-        while True:
-            elements.append(self.parse_element())
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACE", "'}'")
+        elements = self.parse_braced(self.parse_element)
         if len(set(elements)) != len(elements):
             raise self.fail(name, f"space {name.text!r} lists an element twice")
         self.spaces[name.text] = tuple(elements)
@@ -376,11 +539,13 @@ class _Parser:
     def parse_element(self) -> Element:
         tok = self.peek()
         if tok.kind == "LPAREN":
+            self.descend(tok)
             self.advance()
             left = self.parse_element()
             self.expect("COMMA", "','")
             right = self.parse_element()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return (left, right)
         return self.expect_ident("an element name").text
 
@@ -403,32 +568,19 @@ class _Parser:
 
     def parse_weights(self, elements: tuple, what: str) -> list[tuple]:
         """`elem: number` listing inside braces, validated against elements."""
-        self.expect("LBRACE", "'{'")
         seen: set = set()
-        pairs: list[tuple] = []
-        while True:
-            tok = self.peek()
-            element = self.parse_element()
-            if element not in elements:
-                raise self.fail(
-                    tok, f"{core.render_element(element)!r} is not an element here"
-                )
-            if element in seen:
-                raise self.fail(
-                    tok, f"element {core.render_element(element)} listed twice"
-                )
-            seen.add(element)
+
+        def pair() -> tuple:
+            element = self.parse_key(
+                elements, seen, "is not an element here", "element"
+            )
             self.expect("COLON", "':'")
             num = self.expect("NUMBER", "a rational number")
             if num.value < 0 or num.value > 1:
                 raise self.fail(num, f"{what} {num.text} lies outside [0, 1]")
-            pairs.append((element, num.value))
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACE", "'}'")
-        return pairs
+            return element, num.value
+
+        return self.parse_braced(pair)
 
     def parse_state(self) -> StateDecl:
         kw = self.advance()
@@ -464,22 +616,13 @@ class _Parser:
         self.expect("ARROW", "'->'")
         cod_ref, cod_elements = self.parse_space_ref()
         self.expect("EQUALS", "'='")
-        self.expect("LBRACE", "'{'")
-        rows: list[tuple] = []
         seen: set = set()
-        while True:
+
+        def row() -> tuple:
             tok = self.peek()
-            element = self.parse_element()
-            if element not in dom_elements:
-                raise self.fail(
-                    tok,
-                    f"{core.render_element(element)!r} is not a domain element",
-                )
-            if element in seen:
-                raise self.fail(
-                    tok, f"row for {core.render_element(element)} listed twice"
-                )
-            seen.add(element)
+            element = self.parse_key(
+                dom_elements, seen, "is not a domain element", "row for"
+            )
             self.expect("COLON", "':'")
             pairs = self.parse_weights(cod_elements, "weight")
             total = sum(w for _, w in pairs)
@@ -489,12 +632,9 @@ class _Parser:
                     f"row {core.render_element(element)}: weights sum to "
                     f"{total}, expected 1",
                 )
-            rows.append((element, tuple(pairs)))
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACE", "'}'")
+            return element, tuple(pairs)
+
+        rows = self.parse_braced(row)
         missing = [x for x in dom_elements if x not in seen]
         if missing:
             raise self.fail(
@@ -512,35 +652,22 @@ class _Parser:
         self.expect("ARROW", "'->'")
         cod_ref, cod_elements = self.parse_space_ref()
         self.expect("EQUALS", "'='")
-        self.expect("LBRACE", "'{'")
-        mapping: list[tuple] = []
         seen: set = set()
-        while True:
-            tok = self.peek()
-            source = self.parse_element()
-            if source not in dom_elements:
-                raise self.fail(
-                    tok, f"{core.render_element(source)!r} is not a domain element"
-                )
-            if source in seen:
-                raise self.fail(
-                    tok, f"mapping for {core.render_element(source)} listed twice"
-                )
-            seen.add(source)
+
+        def arrow() -> tuple:
+            source = self.parse_key(
+                dom_elements, seen, "is not a domain element", "mapping for"
+            )
             self.expect("ARROW", "'->'")
-            tok2 = self.peek()
+            tok = self.peek()
             target = self.parse_element()
             if target not in cod_elements:
                 raise self.fail(
-                    tok2,
-                    f"{core.render_element(target)!r} is not a codomain element",
+                    tok, f"{core.render_element(target)!r} is not a codomain element"
                 )
-            mapping.append((source, target))
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACE", "'}'")
+            return source, target
+
+        mapping = self.parse_braced(arrow)
         missing = [x for x in dom_elements if x not in seen]
         if missing:
             raise self.fail(
@@ -566,27 +693,23 @@ class _Parser:
         if self.peek().kind != "LPAREN":
             self.check_reference(tok)
             return NameRef(tok.text, line=tok.line, column=tok.column)
-        if tok.text not in OP_SIGNATURES:
+        if tok.text not in OPERATIONS:
             raise self.fail(tok, f"unknown operation {tok.text!r}")
-        arg_kinds, _result = OP_SIGNATURES[tok.text]
+        self.descend(tok)
         self.advance()  # LPAREN
         args: list = []
-        for i, kind in enumerate(arg_kinds):
+        for i, kind in enumerate(OPERATIONS[tok.text].args):
             if i > 0:
                 self.expect("COMMA", "','")
             args.append(self.parse_arg(kind))
         self.expect("RPAREN", "')'")
+        self.depth -= 1
         return Call(tok.text, tuple(args), line=tok.line, column=tok.column)
 
     def parse_arg(self, kind: str):
         tok = self.peek()
         if kind == EVENT:
-            self.expect("LBRACE", "'{' starting an event")
-            elements = [self.parse_element()]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                elements.append(self.parse_element())
-            self.expect("RBRACE", "'}'")
+            elements = self.parse_braced(self.parse_element, "'{' starting an event")
             return EventLiteral(tuple(elements))
         if kind == WHICH:
             which = self.expect("IDENT", "'first' or 'second'")
@@ -808,115 +931,39 @@ def check_expr(
     SpaceMismatch mentioning the query name and subexpression path, so
     an ill-spaced query never starts evaluating.
     """
-    if isinstance(expr, NameRef):
-        found = _find(env, expr.name, expected)
-        if found is None:
-            raise SpaceMismatch(
-                f"query {query!r} at {path}: unknown name {expr.name!r}"
-            )
-        kind, value = found
-        if isinstance(value, QueryDecl):
-            return env.query_info[value.name]
-        if kind == STATE:
-            return STATE, value.space
-        if kind == PRED:
-            return PRED, value.space
-        return CHAN, (value.domain, value.codomain)
-
-    path = f"{path}/{expr.op}"
-
-    def err(msg: str) -> SpaceMismatch:
-        return SpaceMismatch(f"query {query!r} at {path}: {msg}")
-
-    arg_kinds, _result = OP_SIGNATURES[expr.op]
-    infos = []
-    for i, (kind, arg) in enumerate(zip(arg_kinds, expr.args)):
-        sub = f"{path}.arg{i}"
-        if kind in (STATE, PRED, CHAN) or (
-            kind == SCALAR and isinstance(arg, (NameRef, Call))
-        ):
-            got, info = check_expr(arg, env, query, sub, expected=kind)
-            if got != kind:
-                raise SpaceMismatch(
-                    f"query {query!r} at {sub}: expected a {kind}, got a {got}"
-                )
-            infos.append(info)
+    where = path
+    if isinstance(expr, Call):
+        op = OPERATIONS[expr.op]
+        where = f"{path}/{expr.op}"
+        infos = [
+            check_expr(arg, env, query, f"{where}.arg{i}", kind)[1]
+            if isinstance(arg, (NameRef, Call)) else arg
+            for i, (kind, arg) in enumerate(zip(op.args, expr.args))
+        ]
+    try:
+        if isinstance(expr, Call):
+            kind, info = op.space(*infos)
         else:
-            infos.append(arg)
+            kind, info = _name_info(env, expr.name, expected)
+    except SpaceMismatch as exc:
+        problem = str(exc)
+    else:
+        if expected in (None, kind):
+            return kind, info
+        where, problem = path, f"expected a {expected}, got a {kind}"
+    raise SpaceMismatch(f"query {query!r} at {where}: {problem}")
 
-    op = expr.op
-    if op == "transform":
-        (dom, cod), sigma_space = infos
-        if sigma_space != dom:
-            raise err(
-                f"state on {sigma_space.name!r} cannot flow through channel "
-                f"from {dom.name!r}"
-            )
-        return STATE, cod
-    if op == "predtransform":
-        (dom, cod), pred_space = infos
-        if pred_space != cod:
-            raise err(
-                f"predicate on {pred_space.name!r} does not match channel "
-                f"codomain {cod.name!r}"
-            )
-        return PRED, dom
-    if op in ("validity", "condition"):
-        if infos[0] != infos[1]:
-            raise err(
-                f"state on {infos[0].name!r} but predicate on {infos[1].name!r}"
-            )
-        return (SCALAR, None) if op == "validity" else (STATE, infos[0])
-    if op == "compose":
-        (d_dom, d_cod), (c_dom, c_cod) = infos
-        if c_cod != d_dom:
-            raise err(
-                f"cannot compose: inner codomain {c_cod.name!r} is not outer "
-                f"domain {d_dom.name!r}"
-            )
-        return CHAN, (c_dom, d_cod)
-    if op == "dagger":
-        (dom, cod), sigma_space = infos
-        if sigma_space != dom:
-            raise err(
-                f"prior on {sigma_space.name!r} does not match channel domain "
-                f"{dom.name!r}"
-            )
-        return CHAN, (cod, dom)
-    if op in ("pearl", "jeffrey"):
-        sigma_space, (dom, cod), evidence_space = infos
-        if sigma_space != dom:
-            raise err(f"prior on {sigma_space.name!r} vs channel domain {dom.name!r}")
-        if evidence_space != cod:
-            raise err(
-                f"evidence on {evidence_space.name!r} vs channel codomain "
-                f"{cod.name!r}"
-            )
-        return STATE, sigma_space
-    if op == "product":
-        return STATE, core.product_space(infos[0], infos[1])
-    if op == "marginal":
-        space = infos[0]
-        if not isinstance(space, core.ProductSpace):
-            raise err(f"marginal needs a product-space state, got {space.name!r}")
-        return STATE, space.left if infos[1] == "first" else space.right
-    if op in ("atc", "nec"):
-        space = infos[0]
-        for x in infos[1].elements:
-            if x not in space:
-                raise err(
-                    f"event element {core.render_element(x)!r} is not in "
-                    f"space {space.name!r}"
-                )
-        return STATE, space
-    if op == "blend":
-        if infos[1] != infos[2]:
-            raise err(
-                f"blend arms live on different spaces {infos[1].name!r} and "
-                f"{infos[2].name!r}"
-            )
-        return STATE, infos[1]
-    raise err(f"unhandled operation {op!r}")  # pragma: no cover
+
+def _name_info(env: Environment, name: str, expected: Optional[str]):
+    found = _find(env, name, expected)
+    if found is None:
+        raise SpaceMismatch(f"unknown name {name!r}")
+    kind, value = found
+    if isinstance(value, QueryDecl):
+        return env.query_info[value.name]
+    if kind == CHAN:
+        return CHAN, (value.domain, value.codomain)
+    return kind, value.space
 
 
 # ---------------------------------------------------------------------------
@@ -944,12 +991,19 @@ def evaluate(env: Environment, name: str) -> QueryResult:
 
     Queries take precedence; otherwise states, then channels, predicates,
     and functions.  The result carries an UpdateReport when the query's
-    top-level operation is one of the update rules.
+    top-level operation is one of the update rules.  A chain of query
+    references too deep for the interpreter's stack raises NestingTooDeep.
     """
     if name in env.queries:
         decl = env.queries[name]
-        value, report = _eval_expr(decl.expr, env, top=True)
-        return QueryResult(name, _kind_of(value), value, render_expr(decl.expr), report)
+        try:
+            value, report = _eval_expr(decl.expr, env, top=True)
+        except RecursionError:
+            raise NestingTooDeep(
+                f"query {name!r} references queries too deeply to evaluate"
+            ) from None
+        kind = env.query_info[name][0]
+        return QueryResult(name, kind, value, render_expr(decl.expr), report)
     for table, kind in (
         (env.states, STATE),
         (env.channels, CHAN),
@@ -961,92 +1015,32 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     raise SpaceMismatch(f"no query or declaration named {name!r}")
 
 
-def _kind_of(value) -> str:
-    if isinstance(value, State):
-        return STATE
-    if isinstance(value, Predicate):
-        return PRED
-    if isinstance(value, Channel):
-        return CHAN
-    return SCALAR
-
-
 def _eval_expr(
     expr: QueryExpr, env: Environment, top: bool = False,
     expected: Optional[str] = None,
 ):
-    """Returns (value, report or None), mirroring check_expr's resolution."""
+    """Returns (value, report or None), mirroring check_expr's resolution.
+
+    A call runs its operation's kernel on the evaluated arguments; at the
+    top level an update rule runs its report instead, which carries the
+    same posterior.
+    """
     if isinstance(expr, NameRef):
-        found = _find(env, expr.name, expected)
-        if found is None:  # pragma: no cover - the checker rejects these
-            raise SpaceMismatch(f"unknown name {expr.name!r}")
-        _kind, value = found
+        _kind, value = _find(env, expr.name, expected)
         if isinstance(value, QueryDecl):
             return _eval_expr(value.expr, env)
         return value, None
-
-    arg_kinds, _result = OP_SIGNATURES[expr.op]
-    args = []
-    for kind, arg in zip(arg_kinds, expr.args):
-        if isinstance(arg, (NameRef, Call)):
-            value, _ = _eval_expr(arg, env, expected=kind)
-            args.append(value)
-        elif isinstance(arg, EventLiteral):
-            args.append(arg.elements)
-        else:
-            args.append(arg)
-
-    op = expr.op
-    report = None
-    if op == "transform":
-        value = core.state_transform(args[0], args[1])
-    elif op == "predtransform":
-        value = core.predicate_transform(args[0], args[1])
-    elif op == "validity":
-        value = core.validity(args[0], args[1])
-    elif op == "condition":
-        value = core.condition(args[0], args[1])
-    elif op == "compose":
-        value = core.compose(args[0], args[1])
-    elif op == "dagger":
-        value = updates.dagger(args[0], args[1])
-    elif op == "pearl":
-        if top:
-            report = updates.pearl_report(args[0], args[1], args[2])
-            value = report.posterior
-        else:
-            value = updates.pearl_update(args[0], args[1], args[2])
-    elif op == "jeffrey":
-        if top:
-            report = updates.jeffrey_report(args[0], args[1], args[2])
-            value = report.posterior
-        else:
-            value = updates.jeffrey_update(args[0], args[1], args[2])
-    elif op == "product":
-        value = core.product_state(args[0], args[1])
-    elif op == "marginal":
-        value = core.marginal(args[0], args[1])
-    elif op == "atc":
-        if top:
-            report = updates.atc_report(args[0], args[1], args[2])
-            value = report.posterior
-        else:
-            value = updates.atc_update(args[0], args[1], args[2])
-    elif op == "nec":
-        if top:
-            report = updates.nec_report(args[0], args[1], args[2])
-            value = report.posterior
-        else:
-            value = updates.nec_update(args[0], args[1], args[2])
-    elif op == "blend":
-        if top:
-            report = updates.blend_report(args[0], args[1], args[2])
-            value = report.posterior
-        else:
-            value = updates.blend_update(args[0], args[1], args[2])
-    else:  # pragma: no cover - parser only admits known ops
-        raise SpaceMismatch(f"unhandled operation {op!r}")
-    return value, report
+    op = OPERATIONS[expr.op]
+    args = [
+        _eval_expr(arg, env, expected=kind)[0] if isinstance(arg, (NameRef, Call))
+        else arg.elements if isinstance(arg, EventLiteral)
+        else arg
+        for kind, arg in zip(op.args, expr.args)
+    ]
+    if top and op.report:
+        report = getattr(op.module, op.report)(*args)
+        return report.posterior, report
+    return getattr(op.module, op.kernel)(*args), None
 
 
 def load(source: str) -> Environment:

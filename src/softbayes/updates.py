@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from . import core
 from .core import (
     Channel,
     Element,
     Predicate,
-    Space,
     State,
     as_fraction,
     condition,
@@ -363,63 +362,14 @@ def total_variation(sigma: State, other: State) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# evidence descriptions and update reports (for tooling/explain output)
-
-
-@dataclass(frozen=True)
-class PredicateEvidence:
-    predicate: Predicate
-
-
-@dataclass(frozen=True)
-class StateEvidence:
-    state: State
-
-
-@dataclass(frozen=True)
-class EventStrength:
-    space: Space
-    event: frozenset
-    strength: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "event", frozenset(self.event))
-        object.__setattr__(self, "strength", as_fraction(self.strength))
-        _check_event(self.space, self.event)
-        if not 0 <= self.strength <= 1:
-            raise ValueOutOfRange(f"strength {self.strength} lies outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class BayesFactor:
-    space: Space
-    event: frozenset
-    factor: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "event", frozenset(self.event))
-        object.__setattr__(self, "factor", as_fraction(self.factor))
-        _check_event(self.space, self.event)
-        if self.factor <= 0:
-            raise ValueOutOfRange(f"Bayes factor must be positive, got {self.factor}")
-
-
-def _check_event(space: Space, event: frozenset) -> None:
-    for x in event:
-        space.require(x)
-    if not event:
-        raise DegenerateEvent("event must be nonempty")
-    if len(event) == len(space):
-        raise DegenerateEvent("event must be a proper subset of its space")
-
-
-EvidenceKind = Union[PredicateEvidence, StateEvidence, EventStrength, BayesFactor]
+# update reports (for tooling/explain output)
 
 
 @dataclass(frozen=True)
 class UpdateReport:
     """A posterior together with how it was obtained.
 
+    The posterior comes from the same kernel a nested update uses.
     ``intermediate`` carries the working shown in step-by-step displays:
     the transformed predicate and its validity for Pearl-style updates,
     the inverted channel for Jeffrey-style ones.
@@ -427,18 +377,17 @@ class UpdateReport:
 
     rule: str  # jeffrey | pearl | atc | nec | blend
     prior: State
-    evidence: Optional[EvidenceKind]
     posterior: State
     intermediate: Mapping[str, object]
 
 
 def pearl_report(sigma: State, c: Channel, q: Predicate) -> UpdateReport:
+    posterior = pearl_update(sigma, c, q)
     transformed = predicate_transform(c, q)
     return UpdateReport(
         rule="pearl",
         prior=sigma,
-        evidence=PredicateEvidence(q),
-        posterior=condition(sigma, transformed),
+        posterior=posterior,
         intermediate={
             "transformed_predicate": transformed,
             "validity": validity(sigma, transformed),
@@ -455,7 +404,6 @@ def jeffrey_report(
     return UpdateReport(
         rule="jeffrey",
         prior=sigma,
-        evidence=StateEvidence(rho),
         posterior=_jeffrey_posterior(c, w, rows, predicted, rho, needed),
         intermediate={
             "inverted_rows": _inverted_rows(c, w, rows, predicted, needed),
@@ -466,20 +414,20 @@ def jeffrey_report(
 
 def atc_report(omega: State, event: Iterable[Element], strength) -> UpdateReport:
     members = frozenset(event)
-    posterior = atc_update(omega, members, strength)
     return UpdateReport(
         rule="atc",
         prior=omega,
-        evidence=EventStrength(omega.space, members, as_fraction(strength)),
-        posterior=posterior,
-        intermediate={"event_prior_mass": validity(omega, indicator(omega.space, members))},
+        posterior=atc_update(omega, members, strength),
+        intermediate={
+            "event_prior_mass": validity(omega, indicator(omega.space, members))
+        },
     )
 
 
 def nec_report(omega: State, event: Iterable[Element], factor) -> UpdateReport:
     members = frozenset(event)
+    posterior = nec_update(omega, members, factor)
     k = as_fraction(factor)
-    posterior = nec_update(omega, members, k)
     eq_values = {
         x: (ONE if x in members else ONE / k) if k >= 1 else (k if x in members else ONE)
         for x in omega.space.elements
@@ -487,18 +435,15 @@ def nec_report(omega: State, event: Iterable[Element], factor) -> UpdateReport:
     return UpdateReport(
         rule="nec",
         prior=omega,
-        evidence=BayesFactor(omega.space, members, k),
         posterior=posterior,
         intermediate={"equivalent_predicate": Predicate(omega.space, eq_values)},
     )
 
 
 def blend_report(s, jr: State, pr: State) -> UpdateReport:
-    s = as_fraction(s)
     return UpdateReport(
         rule="blend",
         prior=pr,
-        evidence=None,
         posterior=blend_update(s, jr, pr),
-        intermediate={"jeffrey_part": jr, "pearl_part": pr, "novelty": s},
+        intermediate={"jeffrey_part": jr, "pearl_part": pr, "novelty": as_fraction(s)},
     )

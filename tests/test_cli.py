@@ -103,6 +103,63 @@ class TestEval:
         code, _, err = run(capsys, "eval", "no_such_file.netspec", "prior")
         assert code == 2
 
+    def test_directory_as_file_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "eval", str(tmp_path), "prior")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_exits_two_with_position(self, capsys, tmp_path):
+        f = tmp_path / "latin1.netspec"
+        f.write_bytes("space s = { a, b }\n# café\n".encode("latin-1"))
+        code, out, err = run(capsys, "eval", str(f), "s")
+        assert code == 2
+        assert out == ""
+        assert err == "2:6: error: invalid UTF-8 byte 0xe9\n"
+
+    def test_nesting_past_the_cap_exits_two_with_position(self, capsys, tmp_path):
+        f = tmp_path / "deep.netspec"
+        calls = "transform(c, " * 2000 + "p" + ")" * 2000
+        f.write_text(
+            "space s = { a, b }\nstate p : s = { a: 1/2, b: 1/2 }\n"
+            "channel c : s -> s = { a: { a: 1 }, b: { b: 1 } }\n"
+            f"query q = {calls}\n"
+        )
+        code, out, err = run(capsys, "eval", str(f), "q")
+        assert code == 2
+        assert out == ""
+        assert err == "4:1311: error: nested more than 100 levels deep\n"
+
+    def test_reference_chain_too_deep_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "chain.netspec"
+        f.write_text(
+            "space s = { a, b }\nstate p : s = { a: 1/2, b: 1/2 }\n"
+            "channel c : s -> s = { a: { a: 1 }, b: { b: 1 } }\n"
+            "query q0 = transform(c, p)\n"
+            + "".join(f"query q{i} = transform(c, q{i - 1})\n" for i in range(1, 600))
+        )
+        code, out, err = run(capsys, "eval", str(f), "q599")
+        assert code == 1
+        assert out == ""
+        assert err == "error: query 'q599' references queries too deeply to evaluate\n"
+
+    @pytest.mark.parametrize(
+        "query, working",
+        [
+            ("atc(p, {x, y}, 1)", "# event prior mass: 1"),
+            ("nec(p, {x, y}, 2)", "# equivalent predicate: {x: 1, y: 1}"),
+        ],
+    )
+    def test_explain_whole_space_event(self, capsys, tmp_path, query, working):
+        f = tmp_path / "whole.netspec"
+        f.write_text(
+            "space s = { x, y }\nstate p : s = { x: 1/3, y: 2/3 }\n"
+            f"query q = {query}\n"
+        )
+        code, out, _ = run(capsys, "eval", str(f), "q", "--explain")
+        assert code == 0
+        assert out.splitlines()[2:] == [working, "1/3|x> + 2/3|y>"]
+
     def test_overlong_number_literal_exits_two_with_position(self, capsys, tmp_path):
         f = tmp_path / "huge.netspec"
         literal = "1" * 5000  # past Python's int/str digit limit

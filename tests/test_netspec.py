@@ -2,14 +2,18 @@
 static space-checking, evaluation, and render round-trips."""
 
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from softbayes import errors
+from softbayes import errors, updates
 from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import SpaceMismatch
 from softbayes.netspec import (
+    MAX_NESTING,
+    OPERATIONS,
     Call,
     ChannelDecl,
     EventLiteral,
@@ -180,6 +184,125 @@ class TestParse:
             parse(DISEASE_MINIMAL + "query q = frobnicate(prior)\n")
         assert "unknown operation" in err.value.diagnostics[0].message
 
+    @pytest.mark.parametrize(
+        "declaration, diagnostic",
+        [
+            ("space r = { a, a }", "3:7: error: space 'r' lists an element twice"),
+            ("space r = a", "3:11: error: expected '{', got 'a'"),
+            ("space r = { a b }", "3:15: error: expected '}', got 'b'"),
+            (
+                "state p : s = { a: 1/2, c: 1/2 }",
+                "3:25: error: 'c' is not an element here",
+            ),
+            ("state p : s = { a: 1/2, a: 1/2 }", "3:25: error: element a listed twice"),
+            ("state p : s = { a: 3/2 }", "3:20: error: weight 3/2 lies outside [0, 1]"),
+            ("state p : s = { a: 1/2 b: 1/2 }", "3:24: error: expected '}', got 'b'"),
+            (
+                "state p : s = { a: 1/2, b: 1/3 }",
+                "3:1: error: weights sum to 5/6, expected 1",
+            ),
+            (
+                "predicate q : s = { a: 1, b: 2 }",
+                "3:30: error: value 2 lies outside [0, 1]",
+            ),
+            (
+                "channel c : s -> t = { a: { u: 1 }, c: { u: 1 } }",
+                "3:37: error: 'c' is not a domain element",
+            ),
+            (
+                "channel c : s -> t = { a: { u: 1 }, a: { u: 1 } }",
+                "3:37: error: row for a listed twice",
+            ),
+            (
+                "channel c : s -> t = { a: { u: 1 }, b: { u: 1/2 } }",
+                "3:37: error: row b: weights sum to 1/2, expected 1",
+            ),
+            ("channel c : s -> t = { a: { u: 1 } }", "3:1: error: missing row for b"),
+            (
+                "channel c : s -> t = { a: { w: 1 }, b: { u: 1 } }",
+                "3:29: error: 'w' is not an element here",
+            ),
+            (
+                "function f : s -> t = { a -> u, c -> v }",
+                "3:33: error: 'c' is not a domain element",
+            ),
+            (
+                "function f : s -> t = { a -> u, a -> v }",
+                "3:33: error: mapping for a listed twice",
+            ),
+            (
+                "function f : s -> t = { a -> u, b -> w }",
+                "3:38: error: 'w' is not a codomain element",
+            ),
+            (
+                "function f : s -> t = { a -> u }",
+                "3:1: error: function is not total: no value for b",
+            ),
+            (
+                "function f : s -> t = { a -> u b -> v }",
+                "3:32: error: expected '}', got 'b'",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = atc(p, a, 1/2)",
+                "4:18: error: expected '{' starting an event, got 'a'",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = atc(p, {a b}, 1/2)",
+                "4:21: error: expected '}', got 'b'",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = nec(p, {a}, 0)",
+                "4:23: error: Bayes factor must be positive, got 0",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = blend(3/2, p, p)",
+                "4:17: error: scalar 3/2 lies outside [0, 1]",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = marginal(p, third)",
+                "4:23: error: expected 'first' or 'second'",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = frob(p)",
+                "4:11: error: unknown operation 'frob'",
+            ),
+            (
+                "state p : s = { a: 1 }\nquery q = transform(p p)",
+                "4:23: error: expected ',', got 'p'",
+            ),
+        ],
+    )
+    def test_list_and_argument_diagnostics(self, declaration, diagnostic):
+        with pytest.raises(NetspecError) as err:
+            parse(f"space s = {{ a, b }}\nspace t = {{ u, v }}\n{declaration}\n")
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+    def test_nesting_is_capped_with_a_positioned_diagnostic(self):
+        head = DISEASE_MINIMAL + (
+            "channel id : disease -> disease = { d: { d: 1 }, ~d: { ~d: 1 } }\n"
+        )
+
+        def nested(depth):
+            calls = "transform(id, " * depth + "prior" + ")" * depth
+            return f"{head}query q = {calls}\n"
+
+        assert evaluate(load(nested(MAX_NESTING)), "q").value.weights["d"] == F(1, 100)
+        for depth in (MAX_NESTING + 1, 600, 2000):
+            with pytest.raises(NetspecError) as err:
+                parse(nested(depth))
+            column = 11 + MAX_NESTING * len("transform(id, ")
+            assert [str(d) for d in err.value.diagnostics] == [
+                f"10:{column}: error: nested more than {MAX_NESTING} levels deep"
+            ]
+
+    def test_element_nesting_is_capped(self):
+        source = "space s = { " + "(" * 2000 + "a" + ", b)" * 2000 + " }\n"
+        with pytest.raises(NetspecError) as err:
+            parse(source)
+        assert str(err.value) == (
+            f"1:{13 + MAX_NESTING}: error: nested more than {MAX_NESTING} levels deep"
+        )
+
     def test_forward_reference_rejected(self):
         with pytest.raises(NetspecError) as err:
             parse("space s = { a, b }\nquery q = later\nstate later : s = { a: 1 }")
@@ -244,6 +367,42 @@ class TestCompileAndEvaluate:
         result = evaluate(env, "v")
         assert result.kind == "scalar" and result.value == F(2351, 10000)
 
+    def test_whole_space_events_agree_everywhere(self):
+        """atc/nec on the whole space: the same value at top level, nested,
+        and from the kernels."""
+        source = (
+            "space s = { x, y }\n"
+            "state p : s = { x: 1/3, y: 2/3 }\n"
+            "query a = atc(p, {x, y}, 1)\n"
+            "query n = nec(p, {x, y}, 2)\n"
+            "query a_nested = blend(1/2, atc(p, {x, y}, 1), p)\n"
+            "query n_nested = blend(1/2, nec(p, {x, y}, 2), p)\n"
+        )
+        env = load(source)
+        prior = env.states["p"]
+        expected = {
+            "a": updates.atc_update(prior, {"x", "y"}, 1),
+            "n": updates.nec_update(prior, {"x", "y"}, 2),
+        }
+        assert expected["a"] == expected["n"] == prior
+        for name, value in expected.items():
+            assert evaluate(env, name).value == value
+            assert evaluate(env, f"{name}_nested").value == value
+        assert evaluate(env, "a").report.intermediate["event_prior_mass"] == 1
+
+    def test_reference_chain_too_deep_names_the_query(self):
+        source = DISEASE_MINIMAL + (
+            "channel id : disease -> disease = { d: { d: 1 }, ~d: { ~d: 1 } }\n"
+            "query q0 = transform(id, prior)\n"
+        ) + "".join(f"query q{i} = transform(id, q{i - 1})\n" for i in range(1, 600))
+        env = load(source)
+        assert evaluate(env, "q10").value == env.states["prior"]
+        with pytest.raises(errors.NestingTooDeep) as err:
+            evaluate(env, "q599")
+        assert str(err.value) == (
+            "query 'q599' references queries too deeply to evaluate"
+        )
+
     def test_update_queries_carry_reports(self):
         env = load(corpus_source("disease.netspec"))
         assert evaluate(env, "pearl_posterior").report.rule == "pearl"
@@ -261,6 +420,114 @@ class TestStaticSpaceCheck:
             load(source)
         message = str(err.value)
         assert "broken" in message and "pearl" in message
+
+    @pytest.mark.parametrize(
+        "expression, path, message",
+        [
+            (
+                "transform(sens, seen)",
+                "bad/transform",
+                "state on 'test' cannot flow through channel from 'disease'",
+            ),
+            (
+                "predtransform(sens, ill)",
+                "bad/predtransform",
+                "predicate on 'disease' does not match channel codomain 'test'",
+            ),
+            (
+                "validity(prior, pos)",
+                "bad/validity",
+                "state on 'disease' but predicate on 'test'",
+            ),
+            (
+                "condition(seen, ill)",
+                "bad/condition",
+                "state on 'test' but predicate on 'disease'",
+            ),
+            (
+                "compose(sens, sens)",
+                "bad/compose",
+                "cannot compose: inner codomain 'test' is not outer domain 'disease'",
+            ),
+            (
+                "dagger(sens, seen)",
+                "bad/dagger",
+                "prior on 'test' does not match channel domain 'disease'",
+            ),
+            (
+                "pearl(seen, sens, pos)",
+                "bad/pearl",
+                "prior on 'test' vs channel domain 'disease'",
+            ),
+            (
+                "jeffrey(prior, sens, prior)",
+                "bad/jeffrey",
+                "evidence on 'disease' vs channel codomain 'test'",
+            ),
+            (
+                "marginal(prior, first)",
+                "bad/marginal",
+                "marginal needs a product-space state, got 'disease'",
+            ),
+            (
+                "atc(prior, {t}, 1/2)",
+                "bad/atc",
+                "event element 't' is not in space 'disease'",
+            ),
+            (
+                "nec(prior, {d, t}, 2)",
+                "bad/nec",
+                "event element 't' is not in space 'disease'",
+            ),
+            (
+                "blend(1/2, prior, seen)",
+                "bad/blend",
+                "blend arms live on different spaces 'disease' and 'test'",
+            ),
+            (
+                "blend(prior, prior, prior)",
+                "bad/blend.arg0",
+                "expected a scalar, got a state",
+            ),
+            (
+                "pearl(transform(sens, seen), sens, pos)",
+                "bad/pearl.arg0/transform",
+                "state on 'test' cannot flow through channel from 'disease'",
+            ),
+            (
+                "blend(validity(prior, ill), prior, transform(sens, prior))",
+                "bad/blend",
+                "blend arms live on different spaces 'disease' and 'test'",
+            ),
+            (
+                "transform(pos, prior)",
+                "bad/transform.arg0",
+                "expected a channel, got a predicate",
+            ),
+            (
+                "validity(prior, predtransform(sens, prior))",
+                "bad/validity.arg1/predtransform.arg1",
+                "expected a predicate, got a state",
+            ),
+        ],
+    )
+    def test_mismatch_texts(self, expression, path, message):
+        source = DISEASE_MINIMAL + (
+            "predicate pos : test = { t: 8/10, ~t: 2/10 }\n"
+            "predicate ill : disease = { d: 1, ~d: 0 }\n"
+            "state seen : test = { t: 1/2, ~t: 1/2 }\n"
+            f"query bad = {expression}\n"
+        )
+        with pytest.raises(SpaceMismatch) as err:
+            load(source)
+        assert str(err.value) == f"query 'bad' at {path}: {message}"
+
+    def test_unknown_name_reported_at_its_path(self):
+        env = load(DISEASE_MINIMAL)
+        with pytest.raises(SpaceMismatch) as err:
+            expr = Call("transform", (NameRef("sens"), NameRef("gone")))
+            check_expr(expr, env, "q", "q")
+        assert str(err.value) == "query 'q' at q/transform.arg1: unknown name 'gone'"
 
     def test_compose_mismatch_caught_statically(self):
         source = DISEASE_MINIMAL + "query bad = compose(sens, sens)\n"
@@ -343,3 +610,16 @@ class TestStaticSpaceCheck:
             env = load(corpus_source(name))
             for query in env.queries:
                 evaluate(env, query)  # must not raise
+
+
+class TestOperationTable:
+    def test_docs_table_lists_exactly_the_operations(self):
+        """docs/netspec.md's "Query operations" table names every operation
+        with its arity, and nothing else."""
+        docs = Path(__file__).resolve().parents[1] / "docs" / "netspec.md"
+        section = docs.read_text(encoding="utf-8").split("## Query operations")[1]
+        section = section.split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)\((.*?)\)` \|", section, flags=re.MULTILINE)
+        documented = {name: len(params.split(", ")) for name, params in rows}
+        assert len(rows) == len(documented)
+        assert documented == {name: len(op.args) for name, op in OPERATIONS.items()}

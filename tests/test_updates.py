@@ -46,8 +46,6 @@ from softbayes.errors import (
 )
 from softbayes.sampling import random_channel, random_space, random_state
 from softbayes.updates import (
-    BayesFactor,
-    EventStrength,
     atc_report,
     blend_report,
     jeffrey_report,
@@ -296,6 +294,11 @@ class TestAtcUpdate:
         with pytest.raises(DegenerateEvent):
             atc_update(st, set(), F(1, 2))
 
+    def test_strength_must_lie_in_unit_interval(self, halpern):
+        _, _, prior, _ = halpern
+        with pytest.raises(ValueOutOfRange):
+            atc_update(prior, {"b", "g"}, F(3, 2))
+
 
 class TestNecUpdate:
     def test_unit_factor_is_noop(self, halpern):
@@ -438,23 +441,6 @@ class TestCommittedCounterexamples:
 
 
 class TestEvidenceAndReports:
-    def test_event_strength_invariants(self):
-        sp = Space("xyz", ("x", "y", "z"))
-        ev = EventStrength(sp, frozenset({"x"}), F(1, 2))
-        assert ev.strength == F(1, 2)
-        with pytest.raises(DegenerateEvent):
-            EventStrength(sp, frozenset(), F(1, 2))
-        with pytest.raises(DegenerateEvent):
-            EventStrength(sp, frozenset({"x", "y", "z"}), F(1, 2))
-        with pytest.raises(ValueOutOfRange):
-            EventStrength(sp, frozenset({"x"}), F(3, 2))
-
-    def test_bayes_factor_invariants(self):
-        sp = Space("xyz", ("x", "y", "z"))
-        assert BayesFactor(sp, frozenset({"x"}), F(4)).factor == 4
-        with pytest.raises(ValueOutOfRange):
-            BayesFactor(sp, frozenset({"x"}), F(0))
-
     def test_pearl_report_carries_working(self, disease):
         _, test_sp, _, prior, sens, _ = disease
         q = make_predicate(test_sp, {"t": F(8, 10), "~t": F(2, 10)})
