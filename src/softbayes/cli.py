@@ -104,9 +104,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     env = _load_file(args.file)
-    if args.channel not in env.channels and args.channel not in env.functions:
+    if args.channel not in env.channels:
         raise UnknownElement(f"no channel named {args.channel!r}")
-    channel = env.channels.get(args.channel) or env.functions[args.channel]
+    channel = env.channels[args.channel]
     if args.prior not in env.states:
         raise UnknownElement(f"no state named {args.prior!r}")
     prior = env.states[args.prior]
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="randomized comparison against the brute-force oracle"
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--instances", type=int, default=100)
+    p_check.add_argument("--instances", type=_positive_int, default=100)
     p_check.set_defaults(func=cmd_check)
     return parser
 

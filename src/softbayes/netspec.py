@@ -23,7 +23,8 @@ names must be declared before use; ``#`` starts a line comment.
 
 Parsing reports positioned diagnostics (including exact weight-sum
 checks); compilation builds the library values and statically
-space-checks every query before anything is evaluated.
+space-checks every query, binding each of its names, before anything is
+evaluated.
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ STATE, PRED, CHAN, SCALAR, EVENT, WHICH, FACTOR = (
 # -- space rules: argument space info -> (result kind, result space info) ----
 # Space info is the Space of a state or predicate, the (domain, codomain)
 # pair of a channel, None for a scalar expression, and the literal itself
-# for literal arguments.  A conflict raises SpaceMismatch with the bare
-# message; check_expr places it in the query.
+# for literal arguments (an event as its tuple of elements).  A conflict
+# raises SpaceMismatch with the bare message; check_expr places it in the
+# query.
 
 
 def _transform_space(chan, space):
@@ -242,7 +244,7 @@ def _marginal_space(space, which):
 
 
 def _event_space(space, event, _amount):
-    for x in event.elements:
+    for x in event:
         if x not in space:
             raise SpaceMismatch(
                 f"event element {core.render_element(x)!r} is not in "
@@ -419,11 +421,13 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # calls and element pairs open at the current token
         self.diagnostics: list[ParseDiagnostic] = []
-        # symbol tables for single-pass reference checking
+        # symbol tables for single-pass reference checking; functions are
+        # lifted to channels, so the two kinds share one table
         self.spaces: dict[str, tuple] = {}
         self.names: dict[str, set] = {
-            kw: set() for kw in DECL_KEYWORDS if kw != "space"
+            kw: set() for kw in DECL_KEYWORDS if kw not in ("space", "function")
         }
+        self.names["function"] = self.names["channel"]
 
     # -- token plumbing ----------------------------------------------------
 
@@ -829,21 +833,31 @@ def render(decls: list[Declaration]) -> str:
 # compilation
 
 
+@dataclass(frozen=True)
+class CompiledQuery:
+    """A compiled query: its declaration, its static kind and space info,
+    and its expression with every name bound (see ``check_expr``)."""
+
+    decl: QueryDecl
+    kind: str
+    info: object
+    # shared with every query that uses this one: too costly to compare or print
+    bound: object = field(compare=False, repr=False)
+
+
 @dataclass
 class Environment:
-    """Compiled named values, plus query declarations and their static kinds."""
+    """Compiled named values and queries; functions are lifted channels."""
 
     spaces: dict[str, Space]
     states: dict[str, State]
     predicates: dict[str, Predicate]
     channels: dict[str, Channel]
-    functions: dict[str, Channel]  # lifted deterministic channels
-    queries: dict[str, QueryDecl]
-    query_info: dict[str, tuple]  # name -> (kind, space info)
+    queries: dict[str, CompiledQuery]
 
     @classmethod
     def empty(cls) -> "Environment":
-        return cls({}, {}, {}, {}, {}, {}, {})
+        return cls({}, {}, {}, {}, {})
 
 
 def _resolve_ref(env: Environment, ref: SpaceRef) -> Space:
@@ -853,11 +867,13 @@ def _resolve_ref(env: Environment, ref: SpaceRef) -> Space:
 
 
 def compile_network(decls: list[Declaration]) -> Environment:
-    """Build library values from declarations and space-check all queries.
+    """Build library values from declarations, then check and bind each query.
 
     Parsing already validated references, duplicates, ranges, and sums,
     so value construction cannot fail here; query space-checking can, and
-    raises SpaceMismatch naming the query and subexpression path.
+    raises SpaceMismatch naming the query and subexpression path.  Each
+    query's names are bound to what was declared before it, so a later
+    declaration never changes an earlier query.
     """
     env = Environment.empty()
     for decl in decls:
@@ -878,92 +894,86 @@ def compile_network(decls: list[Declaration]) -> Environment:
         elif isinstance(decl, FunctionDecl):
             domain = _resolve_ref(env, decl.domain)
             codomain = _resolve_ref(env, decl.codomain)
-            env.functions[decl.name] = core.lift_function(
+            env.channels[decl.name] = core.lift_function(
                 domain, codomain, dict(decl.mapping)
             )
         elif isinstance(decl, QueryDecl):
-            info = check_expr(decl.expr, env, decl.name, path=decl.name)
-            env.queries[decl.name] = decl
-            env.query_info[decl.name] = info
+            checked = check_expr(decl.expr, env, decl.name, path=decl.name)
+            env.queries[decl.name] = CompiledQuery(decl, *checked)
     return env
 
 
-def _search_order(expected: Optional[str]) -> tuple[str, ...]:
-    if expected in (STATE, PRED, CHAN):
-        return (expected,) + tuple(k for k in (STATE, PRED, CHAN) if k != expected)
-    return (STATE, PRED, CHAN)
+def _resolve(env: Environment, name: str, expected: Optional[str] = None):
+    """What a bare name means: (kind, space info, value or CompiledQuery).
 
-
-def _find(env: Environment, name: str, expected: Optional[str]):
-    """Resolve a bare name to (kind, value-or-QueryDecl).
-
-    Names are unique per declaration kind, so the expected kind's table
-    is searched first; queries resolve by their statically checked kind.
+    The candidates are the query, state, channel and predicate of that
+    name, in this order; the first of the expected kind wins, otherwise
+    the first one.  None when nothing of that name is declared.
     """
-    for kind in _search_order(expected):
-        if kind == STATE and name in env.states:
-            return STATE, env.states[name]
-        if kind == PRED and name in env.predicates:
-            return PRED, env.predicates[name]
-        if kind == CHAN:
-            if name in env.channels:
-                return CHAN, env.channels[name]
-            if name in env.functions:
-                return CHAN, env.functions[name]
-        if name in env.query_info and env.query_info[name][0] == kind:
-            return kind, env.queries[name]
-    if name in env.query_info:  # scalar-valued query
-        return env.query_info[name][0], env.queries[name]
-    return None
+    candidates = []
+    if name in env.queries:
+        query = env.queries[name]
+        candidates.append((query.kind, query.info, query))
+    for table, kind in (
+        (env.states, STATE), (env.channels, CHAN), (env.predicates, PRED)
+    ):
+        if name in table:
+            value = table[name]
+            info = (value.domain, value.codomain) if kind == CHAN else value.space
+            candidates.append((kind, info, value))
+    for candidate in candidates:
+        if candidate[0] == expected:
+            return candidate
+    return candidates[0] if candidates else None
 
 
-# -- static space-checking --------------------------------------------------
+# -- static space-checking and name binding ----------------------------------
 
 
 def check_expr(
     expr: QueryExpr, env: Environment, query: str, path: str,
     expected: Optional[str] = None,
-) -> tuple[str, object]:
-    """Static space-check: returns (kind, space info) for the expression.
+) -> tuple[str, object, object]:
+    """Static space-check: returns (kind, space info, bound expression).
 
     Space info is the Space for states/predicates, a (domain, codomain)
-    pair for channels, and None for scalars.  Any conflict raises
-    SpaceMismatch mentioning the query name and subexpression path, so
-    an ill-spaced query never starts evaluating.
+    pair for channels, and None for scalars.  The bound expression is the
+    expression with each name replaced by the value or CompiledQuery it
+    resolves to in ``env`` and each event by its elements; evaluation
+    looks no name up again.  Any conflict raises SpaceMismatch mentioning
+    the query name and subexpression path, so an ill-spaced query never
+    starts evaluating.
     """
     where = path
     if isinstance(expr, Call):
         op = OPERATIONS[expr.op]
         where = f"{path}/{expr.op}"
-        infos = [
-            check_expr(arg, env, query, f"{where}.arg{i}", kind)[1]
-            if isinstance(arg, (NameRef, Call)) else arg
-            for i, (kind, arg) in enumerate(zip(op.args, expr.args))
-        ]
+        infos, args = [], []
+        for i, (kind, arg) in enumerate(zip(op.args, expr.args)):
+            if isinstance(arg, EventLiteral):
+                arg = arg.elements
+            if isinstance(arg, (NameRef, Call)):
+                _, info, arg = check_expr(arg, env, query, f"{where}.arg{i}", kind)
+            else:
+                info = arg
+            infos.append(info)
+            args.append(arg)
     try:
         if isinstance(expr, Call):
             kind, info = op.space(*infos)
+            bound = Call(expr.op, tuple(args))
         else:
-            kind, info = _name_info(env, expr.name, expected)
+            found = _resolve(env, expr.name, expected)
+            if found is None:
+                raise SpaceMismatch(f"unknown name {expr.name!r}")
+            kind, info, bound = found
     except SpaceMismatch as exc:
         problem = str(exc)
     else:
         if expected in (None, kind):
-            return kind, info
+            return kind, info, bound
         where, problem = path, f"expected a {expected}, got a {kind}"
     raise SpaceMismatch(f"query {query!r} at {where}: {problem}")
-
-
-def _name_info(env: Environment, name: str, expected: Optional[str]):
-    found = _find(env, name, expected)
-    if found is None:
-        raise SpaceMismatch(f"unknown name {name!r}")
-    kind, value = found
-    if isinstance(value, QueryDecl):
-        return env.query_info[value.name]
-    if kind == CHAN:
-        return CHAN, (value.domain, value.codomain)
-    return kind, value.space
 
 
 # ---------------------------------------------------------------------------
@@ -989,54 +999,41 @@ class QueryResult:
 def evaluate(env: Environment, name: str) -> QueryResult:
     """Evaluate a named query, or echo any other named declaration.
 
-    Queries take precedence; otherwise states, then channels, predicates,
-    and functions.  The result carries an UpdateReport when the query's
+    The name means what it would mean inside a query declared last: the
+    query of that name, else the state, channel (or function), or
+    predicate.  The result carries an UpdateReport when the query's
     top-level operation is one of the update rules.  A chain of query
     references too deep for the interpreter's stack raises NestingTooDeep.
     """
-    if name in env.queries:
-        decl = env.queries[name]
-        try:
-            value, report = _eval_expr(decl.expr, env, top=True)
-        except RecursionError:
-            raise NestingTooDeep(
-                f"query {name!r} references queries too deeply to evaluate"
-            ) from None
-        kind = env.query_info[name][0]
-        return QueryResult(name, kind, value, render_expr(decl.expr), report)
-    for table, kind in (
-        (env.states, STATE),
-        (env.channels, CHAN),
-        (env.predicates, PRED),
-        (env.functions, CHAN),
-    ):
-        if name in table:
-            return QueryResult(name, kind, table[name], name)
-    raise SpaceMismatch(f"no query or declaration named {name!r}")
+    found = _resolve(env, name)
+    if found is None:
+        raise SpaceMismatch(f"no query or declaration named {name!r}")
+    kind, _info, target = found
+    if not isinstance(target, CompiledQuery):
+        return QueryResult(name, kind, target, name)
+    try:
+        value, report = _eval_expr(target.bound, top=True)
+    except RecursionError:
+        raise NestingTooDeep(
+            f"query {name!r} references queries too deeply to evaluate"
+        ) from None
+    return QueryResult(name, kind, value, render_expr(target.decl.expr), report)
 
 
-def _eval_expr(
-    expr: QueryExpr, env: Environment, top: bool = False,
-    expected: Optional[str] = None,
-):
-    """Returns (value, report or None), mirroring check_expr's resolution.
+def _eval_expr(bound, top: bool = False):
+    """Returns (value, report or None) of a bound expression.
 
-    A call runs its operation's kernel on the evaluated arguments; at the
-    top level an update rule runs its report instead, which carries the
-    same posterior.
+    A CompiledQuery evaluates its own bound expression.  A call runs its
+    operation's kernel on the evaluated arguments; at the top level an
+    update rule runs its report instead, which carries the same
+    posterior.  Anything else is already a value or a literal.
     """
-    if isinstance(expr, NameRef):
-        _kind, value = _find(env, expr.name, expected)
-        if isinstance(value, QueryDecl):
-            return _eval_expr(value.expr, env)
-        return value, None
-    op = OPERATIONS[expr.op]
-    args = [
-        _eval_expr(arg, env, expected=kind)[0] if isinstance(arg, (NameRef, Call))
-        else arg.elements if isinstance(arg, EventLiteral)
-        else arg
-        for kind, arg in zip(op.args, expr.args)
-    ]
+    if isinstance(bound, CompiledQuery):
+        return _eval_expr(bound.bound)
+    if not isinstance(bound, Call):
+        return bound, None
+    op = OPERATIONS[bound.op]
+    args = [_eval_expr(arg)[0] for arg in bound.args]
     if top and op.report:
         report = getattr(op.module, op.report)(*args)
         return report.posterior, report

@@ -1,5 +1,6 @@
 """The command-line surface: output formats, exit codes, determinism."""
 
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from softbayes.cli import main
 
-CORPUS = Path(__file__).resolve().parents[1] / "src" / "softbayes" / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "softbayes" / "corpus"
 
 
 def run(capsys, *argv):
@@ -170,6 +172,60 @@ class TestEval:
         assert err.startswith("2:20: error: number literal too long")
 
 
+class TestNameBinding:
+    """A bare name means what it meant where its query was declared, and
+    ``eval NAME`` resolves NAME the same way a query does."""
+
+    PRELUDE = "space s = { a, b }\n"
+
+    def eval_lines(self, capsys, tmp_path, text, name):
+        f = tmp_path / "names.netspec"
+        f.write_text(self.PRELUDE + text)
+        code, out, err = run(capsys, "eval", str(f), name)
+        assert (code, err) == (0, "")
+        return out
+
+    def test_later_declaration_does_not_change_a_query(self, capsys, tmp_path):
+        text = (
+            "predicate x : s = { a: 1, b: 0 }\n"
+            "query q = x\n"
+            "state x : s = { a: 1/2, b: 1/2 }\n"
+        )
+        assert self.eval_lines(capsys, tmp_path, text, "q") == "{a: 1, b: 0}\n"
+
+    def test_query_reference_survives_a_later_state(self, capsys, tmp_path):
+        text = (
+            "state prior : s = { a: 1/2, b: 1/2 }\n"
+            "channel c : s -> s = { a: { a: 1 }, b: { a: 1 } }\n"
+            "query x = transform(c, prior)\n"
+            "query r = x\n"
+            "state x : s = { a: 1/4, b: 3/4 }\n"
+        )
+        assert self.eval_lines(capsys, tmp_path, text, "r") == "1|a>\n"
+        assert self.eval_lines(capsys, tmp_path, text, "x") == "1|a>\n"
+
+    def test_eval_name_and_query_reference_agree(self, capsys, tmp_path):
+        text = (
+            "predicate x : s = { a: 1, b: 0 }\n"
+            "channel x : s -> s = { a: { a: 1 }, b: { b: 1 } }\n"
+            "query q = x\n"
+        )
+        direct = self.eval_lines(capsys, tmp_path, text, "x")
+        assert direct == "a -> 1|a>\nb -> 1|b>\n"
+        assert self.eval_lines(capsys, tmp_path, text, "q") == direct
+
+    def test_function_may_not_reuse_a_channel_name(self, capsys, tmp_path):
+        f = tmp_path / "names.netspec"
+        f.write_text(
+            self.PRELUDE
+            + "channel f : s -> s = { a: { a: 1 }, b: { b: 1 } }\n"
+            "function f : s -> s = { a -> a, b -> b }\n"
+        )
+        code, out, err = run(capsys, "eval", str(f), "f")
+        assert (code, out) == (2, "")
+        assert err == "3:10: error: duplicate function name 'f'\n"
+
+
 class TestSweep:
     def test_header_and_rows(self, capsys, disease_file):
         code, out, _ = run(
@@ -302,15 +358,27 @@ class TestCheck:
 
 class TestUsage:
     @pytest.mark.parametrize(
-        "flags",
-        [["--steps", "0"], ["--decimal", "-3"], ["--decimal", "0"]],
-        ids=["steps-0", "decimal-negative", "decimal-0"],
+        "command, flags",
+        [
+            ("sweep", ["--steps", "0"]),
+            ("sweep", ["--decimal", "-3"]),
+            ("sweep", ["--decimal", "0"]),
+            ("check", ["--instances", "0"]),
+            ("check", ["--instances", "-5"]),
+        ],
+        ids=[
+            "steps-0", "decimal-negative", "decimal-0", "instances-0",
+            "instances-negative",
+        ],
     )
     def test_nonpositive_counts_rejected_before_output(
-        self, capsys, disease_file, flags
+        self, capsys, disease_file, command, flags
     ):
-        argv = ["sweep", disease_file, "--channel", "sens", "--prior", "prior",
-                "--target", "d", *flags]
+        argv = {
+            "sweep": ["sweep", disease_file, "--channel", "sens", "--prior",
+                      "prior", "--target", "d"],
+            "check": ["check"],
+        }[command] + flags
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -333,3 +401,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["eval", disease_file, "prior", "--bogus"])
         assert exc.value.code == 2
+
+
+GOLDEN = ROOT / "bench" / "golden" / "golden.json"
+GOLDEN_OPS = {
+    argv: out
+    for group in json.loads(GOLDEN.read_text(encoding="utf-8")).values()
+    for argv, out in group.items()
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_OPS))
+def test_golden_output_is_byte_identical(capsys, monkeypatch, argv):
+    """Every corpus-cli and sweep op of the benchmark prints its stored
+    stdout exactly; the paths in the stored commands are relative to the
+    repository root."""
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *argv.split(" "))
+    assert code == 0
+    assert out == GOLDEN_OPS[argv]

@@ -122,6 +122,18 @@ class TestParse:
             parse(source)
         assert "duplicate state name" in err.value.diagnostics[0].message
 
+    def test_functions_and_channels_share_one_namespace(self):
+        function = "function f : s -> s = { a -> a, b -> b }\n"
+        channel = "channel f : s -> s = { a: { a: 1 }, b: { b: 1 } }\n"
+        for first, second, kind in (
+            (function, channel, "channel"), (channel, function, "function")
+        ):
+            with pytest.raises(NetspecError) as err:
+                parse("space s = { a, b }\n" + first + second)
+            diag = err.value.diagnostics[0]
+            assert (diag.line, diag.column) == (3, len(kind) + 2)
+            assert diag.message == f"duplicate {kind} name 'f'"
+
     def test_state_and_predicate_may_share_a_name(self):
         source = (
             "space s = { a, b }\n"
@@ -591,14 +603,14 @@ class TestStaticSpaceCheck:
         for i in range(300):
             expr = gen(rng.choice(["state", "predicate", "channel"]), depth=3)
             try:
-                check_expr(expr, env, f"rand{i}", f"rand{i}")
+                bound = check_expr(expr, env, f"rand{i}", f"rand{i}")[2]
             except SpaceMismatch:
                 continue
             accepted += 1
             try:
                 from softbayes.netspec import _eval_expr
 
-                _eval_expr(expr, env)
+                _eval_expr(bound)
             except SpaceMismatch as exc:  # soundness violation
                 pytest.fail(f"checker accepted but evaluation mismatched: {exc}")
             except errors.SoftbayesError:
