@@ -18,6 +18,7 @@ All output is deterministic; decimals only appear with ``--decimal N``.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -309,6 +310,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softbayes",

@@ -1002,8 +1002,10 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     The name means what it would mean inside a query declared last: the
     query of that name, else the state, channel (or function), or
     predicate.  The result carries an UpdateReport when the query's
-    top-level operation is one of the update rules.  A chain of query
-    references too deep for the interpreter's stack raises NestingTooDeep.
+    top-level operation is one of the update rules.  Each query it
+    references is evaluated once, however often it is used; nothing is
+    kept between calls.  A chain of query references too deep for the
+    interpreter's stack raises NestingTooDeep.
     """
     found = _resolve(env, name)
     if found is None:
@@ -1020,20 +1022,27 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     return QueryResult(name, kind, value, render_expr(target.decl.expr), report)
 
 
-def _eval_expr(bound, top: bool = False):
+def _eval_expr(bound, top: bool = False, memo: Optional[dict] = None):
     """Returns (value, report or None) of a bound expression.
 
-    A CompiledQuery evaluates its own bound expression.  A call runs its
-    operation's kernel on the evaluated arguments; at the top level an
-    update rule runs its report instead, which carries the same
-    posterior.  Anything else is already a value or a literal.
+    A CompiledQuery evaluates its own bound expression, once per ``memo``:
+    every later use returns the stored value.  The memo is keyed by
+    ``id``, so it must not outlive the evaluation that creates it.  A
+    call runs its operation's kernel on the evaluated arguments; at the
+    top level an update rule runs its report instead, which carries the
+    same posterior.  Anything else is already a value or a literal.
     """
+    if memo is None:
+        memo = {}
     if isinstance(bound, CompiledQuery):
-        return _eval_expr(bound.bound)
+        key = id(bound)
+        if key not in memo:
+            memo[key] = _eval_expr(bound.bound, memo=memo)[0]
+        return memo[key], None
     if not isinstance(bound, Call):
         return bound, None
     op = OPERATIONS[bound.op]
-    args = [_eval_expr(arg)[0] for arg in bound.args]
+    args = [_eval_expr(arg, memo=memo)[0] for arg in bound.args]
     if top and op.report:
         report = getattr(op.module, op.report)(*args)
         return report.posterior, report

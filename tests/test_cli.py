@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from softbayes.cli import main
+from softbayes.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "softbayes" / "corpus"
@@ -144,6 +144,18 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err == "error: query 'q599' references queries too deeply to evaluate\n"
+
+    def test_error_in_a_query_used_twice_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "bad.netspec"
+        f.write_text(
+            "space s = { a, b }\nstate p : s = { a: 1/2, b: 1/2 }\n"
+            "predicate z : s = { a: 0, b: 0 }\n"
+            "query bad = condition(p, z)\n"
+            "query uses = blend(1/2, bad, bad)\n"
+        )
+        code, out, err = run(capsys, "eval", str(f), "uses")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot condition: predicate has validity 0\n"
 
     @pytest.mark.parametrize(
         "query, working",
@@ -401,6 +413,32 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["eval", disease_file, "prior", "--bogus"])
         assert exc.value.code == 2
+
+    def test_shared_parser_carries_nothing_between_calls(self, capsys, disease_file):
+        """One parser serves every call in a process; its output matches a
+        freshly built parser's, so no default leaks from one call to the next."""
+        argvs = [
+            ["eval"],
+            ["eval", disease_file, "prior", "--decimal", "3"],
+            ["eval", disease_file, "prior"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        shared = [outcome(argv) for argv in argvs]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0]
+        assert shared[2][1] == "1/100|d> + 99/100|~d>\n"
 
 
 GOLDEN = ROOT / "bench" / "golden" / "golden.json"

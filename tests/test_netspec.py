@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from softbayes import errors, updates
+from softbayes import core, errors, updates
 from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import SpaceMismatch
 from softbayes.netspec import (
@@ -414,6 +414,65 @@ class TestCompileAndEvaluate:
         assert str(err.value) == (
             "query 'q599' references queries too deeply to evaluate"
         )
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        """Wrap a kernel with a call counter; the op table looks kernels up
+        by name at each call, so evaluation runs the wrapper."""
+        calls = []
+        kernel = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_referenced_query_is_evaluated_once(self, monkeypatch):
+        """Each link uses the previous one twice: without sharing the chain
+        would take 2^59 evaluations."""
+        source = (
+            "space s = { a, b }\nstate p : s = { a: 1/3, b: 2/3 }\nquery q0 = p\n"
+        ) + "".join(
+            f"query q{i} = blend(1/2, q{i - 1}, q{i - 1})\n" for i in range(1, 60)
+        )
+        env = load(source)
+        blends = self.count_calls(monkeypatch, updates, "blend_update")
+        assert evaluate(env, "q59").value == env.states["p"]
+        # q1..q58 as references, and q59 through blend_report
+        assert len(blends) == 59
+
+    def test_shared_reference_value_and_counts_per_evaluation(self, monkeypatch):
+        """q3 uses q1 twice, through q2 and directly."""
+        source = (
+            "space s = { a, b }\nstate p : s = { a: 1/3, b: 2/3 }\n"
+            "channel c : s -> s = { a: { a: 1/4, b: 3/4 }, b: { a: 1/2, b: 1/2 } }\n"
+            "query q1 = transform(c, p)\n"
+            "query q2 = blend(1/3, q1, transform(c, q1))\n"
+            "query q3 = blend(1/4, q2, q1)\n"
+        )
+        env = load(source)
+        transforms = self.count_calls(monkeypatch, core, "state_transform")
+        blends = self.count_calls(monkeypatch, updates, "blend_update")
+
+        rows = [[F(1, 4), F(3, 4)], [F(1, 2), F(1, 2)]]
+
+        def transform(weights):
+            return [sum(w * row[y] for w, row in zip(weights, rows)) for y in (0, 1)]
+
+        def blend(s, jr, pr):
+            return [s * j + (1 - s) * p for j, p in zip(jr, pr)]
+
+        q1 = transform([F(1, 3), F(2, 3)])
+        q2 = blend(F(1, 3), q1, transform(q1))
+        q3 = blend(F(1, 4), q2, q1)
+        value = evaluate(env, "q3").value
+        assert [value.weights[x] for x in ("a", "b")] == q3
+        assert (len(transforms), len(blends)) == (2, 2)
+        # nothing is kept between evaluations
+        evaluate(env, "q3")
+        assert (len(transforms), len(blends)) == (4, 4)
 
     def test_update_queries_carry_reports(self):
         env = load(corpus_source("disease.netspec"))
