@@ -31,12 +31,13 @@ and call it, and the kernels' results pass through it by way of the private
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     DuplicateElement,
@@ -64,6 +65,8 @@ def as_fraction(value: Union[Fraction, int, str]) -> Fraction:
     (decimal strings convert exactly, so ``"0.1"`` becomes 1/10, not the
     nearest double).  Floats are rejected outright.
     """
+    if type(value) is Fraction:  # immutable: the value itself will do
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"exact rational required, got {type(value).__name__} {value!r}; "

@@ -86,7 +86,3 @@ class ZeroMass(SoftbayesError):
 
 class NonBinaryEvidenceSpace(SoftbayesError):
     """The sweep needs a binary evidence space for its parameter."""
-
-
-class NestingTooDeep(SoftbayesError):
-    """A chain of query references is too deep to evaluate."""

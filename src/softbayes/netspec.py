@@ -32,12 +32,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from types import ModuleType
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import core, updates
 from .core import Channel, Element, Predicate, Space, State
-from .errors import NestingTooDeep, SoftbayesError, SpaceMismatch
+from .errors import SoftbayesError, SpaceMismatch
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -310,7 +311,9 @@ OPERATIONS: dict[str, Operation] = {
     ),
 }
 
-DECL_KEYWORDS = ("space", "state", "channel", "predicate", "function", "query")
+DECL_KEYWORDS = frozenset(
+    {"space", "state", "channel", "predicate", "function", "query"}
+)
 
 # Deepest nesting of calls and element pairs the parser accepts; it keeps
 # every recursive pass over one declaration far inside the interpreter's
@@ -322,8 +325,7 @@ MAX_NESTING = 100
 # tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NUMBER LBRACE RBRACE LPAREN RPAREN COLON COMMA ARROW STAR EQUALS EOF
     text: str
     line: int
@@ -331,20 +333,22 @@ class Token:
     value: Optional[Fraction] = None  # for NUMBER
 
 
+# One match per token: the layout before it (blanks, newlines, comments),
+# then a number, a word (an identifier, ``->`` or a punctuation mark) or a
+# character no token begins with.  At the end of the text the layout
+# matches alone.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<number>\d+(?:/\d+|\.\d+)?)
-  | (?P<ident>~?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<punct>[{}():,*=])
+    ( [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )* )
+    (?: ( [0-9]+ (?: /[0-9]+ | \.[0-9]+ )? )
+      | ( ~?[A-Za-z_][A-Za-z0-9_]* | -> | [{}():,*=] )
+      | ( . )
+    )?
     """,
     re.VERBOSE,
 )
-
-_PUNCT_KINDS = {
+_WORD_KINDS = {
+    "->": "ARROW",
     "{": "LBRACE",
     "}": "RBRACE",
     "(": "LPAREN",
@@ -353,57 +357,70 @@ _PUNCT_KINDS = {
     ",": "COMMA",
     "*": "STAR",
     "=": "EQUALS",
-}
+}  # any other word is an IDENT
+_new_token = tuple.__new__  # Token(...) without its Python-level __new__
+
+
+def _number(text: str) -> Fraction:
+    """The exact value of a number literal, as ``Fraction(text)`` reads it
+    (ZeroDivisionError for a zero denominator, ValueError for a digit
+    string past the interpreter's int/str limit), from its digit strings."""
+    whole, slash, den = text.partition("/")
+    if slash:
+        return Fraction(int(whole), int(den))
+    whole, point, decimals = text.partition(".")
+    if point:
+        scale = 10 ** len(decimals)
+        return Fraction(int(whole) * scale + int(decimals), scale)
+    return Fraction(int(whole))
 
 
 def tokenize(source: str) -> tuple[list[Token], list[ParseDiagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[ParseDiagnostic] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            diagnostics.append(
-                ParseDiagnostic(
-                    "error", line, col,
-                    f"unexpected character {source[pos]!r}", source[pos],
-                )
-            )
-            pos += 1
-            continue
-        col = m.start() - line_start + 1
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind == "number":
+    line, line_start, pos = 1, 0, 0
+    for layout, number, word, bad in _TOKEN_RE.findall(source):
+        if layout:
+            if "\n" in layout:
+                line += layout.count("\n")
+                line_start = pos + layout.rindex("\n") + 1
+            pos += len(layout)
+        col = pos - line_start + 1
+        if word:
+            kind = _WORD_KINDS.get(word, "IDENT")
+            tokens.append(_new_token(Token, (kind, word, line, col, None)))
+            pos += len(word)
+        elif number:
             try:
-                value = Fraction(text)
+                value = _number(number)
             except ZeroDivisionError:
                 diagnostics.append(
-                    ParseDiagnostic("error", line, col, "zero denominator", text)
+                    ParseDiagnostic("error", line, col, "zero denominator", number)
                 )
                 value = Fraction(0)
-            except ValueError:  # past the interpreter's int/str digit limit
+            except ValueError:
                 diagnostics.append(
                     ParseDiagnostic(
                         "error", line, col,
-                        f"number literal too long ({len(text)} characters)", text,
+                        f"number literal too long ({len(number)} characters)",
+                        number,
                     )
                 )
                 value = Fraction(0)
-            tokens.append(Token("NUMBER", text, line, col, value))
-        elif kind == "ident":
-            tokens.append(Token("IDENT", text, line, col))
-        elif kind == "arrow":
-            tokens.append(Token("ARROW", text, line, col))
-        elif kind == "punct":
-            tokens.append(Token(_PUNCT_KINDS[text], text, line, col))
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
+            tokens.append(_new_token(Token, ("NUMBER", number, line, col, value)))
+            pos += len(number)
+        elif bad:
+            diagnostics.append(
+                ParseDiagnostic(
+                    "error", line, col, f"unexpected character {bad!r}", bad
+                )
+            )
+            pos += 1
+        else:  # the end of the text
+            break
+    tokens.append(
+        _new_token(Token, ("EOF", "", line, len(source) - line_start + 1, None))
+    )
     return tokens, diagnostics
 
 
@@ -425,9 +442,10 @@ class _Parser:
         # lifted to channels, so the two kinds share one table
         self.spaces: dict[str, tuple] = {}
         self.names: dict[str, set] = {
-            kw: set() for kw in DECL_KEYWORDS if kw not in ("space", "function")
+            kw: set() for kw in ("state", "channel", "predicate", "query")
         }
         self.names["function"] = self.names["channel"]
+        self.declared: set = set()  # every name above, of any kind
 
     # -- token plumbing ----------------------------------------------------
 
@@ -440,6 +458,13 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.tokens[self.pos].kind == kind:
+            self.pos += 1
+            return True
+        return False
+
     def error(self, token: Token, message: str) -> None:
         self.diagnostics.append(
             ParseDiagnostic("error", token.line, token.column, message, token.text)
@@ -450,11 +475,12 @@ class _Parser:
         return _Recover()
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             shown = tok.text if tok.kind != "EOF" else "end of file"
             raise self.fail(tok, f"expected {what}, got {shown!r}")
-        return self.advance()
+        self.pos += 1  # no caller expects EOF, so this never passes it
+        return tok
 
     def expect_ident(self, what: str) -> Token:
         tok = self.expect("IDENT", what)
@@ -483,15 +509,14 @@ class _Parser:
         """``{ item (, item)* }``: one or more comma-separated items."""
         self.expect("LBRACE", opening)
         items = [parse_item()]
-        while self.peek().kind == "COMMA":
-            self.advance()
+        while self.accept("COMMA"):
             items.append(parse_item())
         self.expect("RBRACE", "'}'")
         return items
 
     def parse_key(self, allowed: tuple, seen: set, outside: str, twice: str):
         """An element of ``allowed`` not yet in ``seen``, which it joins."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         element = self.parse_element()
         if element not in allowed:
             raise self.fail(tok, f"{core.render_element(element)!r} {outside}")
@@ -520,31 +545,35 @@ class _Parser:
             decls.append(decl)
         return decls
 
-    def declare(self, kind: str, name_tok: Token) -> None:
-        taken = (
-            name_tok.text in self.spaces
-            if kind == "space"
-            else name_tok.text in self.names[kind]
-        )
-        if taken:
-            raise self.fail(name_tok, f"duplicate {kind} name {name_tok.text!r}")
+    def parse_header(self, kind: str) -> tuple[Token, Token]:
+        """``kind name``: the keyword token and a name not yet taken."""
+        kw = self.advance()
+        name = self.expect_ident(f"{kind} name")
+        taken = self.spaces if kind == "space" else self.names[kind]
+        if name.text in taken:
+            raise self.fail(name, f"duplicate {kind} name {name.text!r}")
+        return kw, name
+
+    def define(self, kind: str, name: str) -> None:
+        """Make a parsed declaration's name visible to later ones."""
+        self.names[kind].add(name)
+        self.declared.add(name)
 
     def parse_space(self) -> SpaceDecl:
-        kw = self.advance()
-        name = self.expect_ident("space name")
-        self.declare("space", name)
+        kw, name = self.parse_header("space")
         self.expect("EQUALS", "'='")
-        elements = self.parse_braced(self.parse_element)
+        elements = tuple(self.parse_braced(self.parse_element))
         if len(set(elements)) != len(elements):
             raise self.fail(name, f"space {name.text!r} lists an element twice")
-        self.spaces[name.text] = tuple(elements)
-        return SpaceDecl(name.text, tuple(elements), line=kw.line)
+        self.spaces[name.text] = elements
+        self.declared.add(name.text)
+        return SpaceDecl(name.text, elements, line=kw.line)
 
     def parse_element(self) -> Element:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "LPAREN":
             self.descend(tok)
-            self.advance()
+            self.pos += 1
             left = self.parse_element()
             self.expect("COMMA", "','")
             right = self.parse_element()
@@ -557,9 +586,8 @@ class _Parser:
         """Returns (reference, element tuple) resolving inline products."""
         first = self.expect_ident("a space name")
         left = self.resolve_space(first)
-        if self.peek().kind != "STAR":
+        if not self.accept("STAR"):
             return first.text, left
-        self.advance()
         second = self.expect_ident("a space name")
         right = self.resolve_space(second)
         elements = tuple((l, r) for l in left for r in right)
@@ -569,6 +597,24 @@ class _Parser:
         if tok.text not in self.spaces:
             raise self.fail(tok, f"unknown space {tok.text!r}")
         return self.spaces[tok.text]
+
+    def parse_typed(self, kind: str) -> tuple[Token, Token, SpaceRef, tuple]:
+        """``kind name : space =``, the head of a state or predicate."""
+        kw, name = self.parse_header(kind)
+        self.expect("COLON", "':'")
+        ref, elements = self.parse_space_ref()
+        self.expect("EQUALS", "'='")
+        return kw, name, ref, elements
+
+    def parse_arrow_typed(self, kind: str):
+        """``kind name : space -> space =``, the head of a channel or function."""
+        kw, name = self.parse_header(kind)
+        self.expect("COLON", "':'")
+        dom_ref, dom_elements = self.parse_space_ref()
+        self.expect("ARROW", "'->'")
+        cod_ref, cod_elements = self.parse_space_ref()
+        self.expect("EQUALS", "'='")
+        return kw, name, dom_ref, dom_elements, cod_ref, cod_elements
 
     def parse_weights(self, elements: tuple, what: str) -> list[tuple]:
         """`elem: number` listing inside braces, validated against elements."""
@@ -580,56 +626,41 @@ class _Parser:
             )
             self.expect("COLON", "':'")
             num = self.expect("NUMBER", "a rational number")
-            if num.value < 0 or num.value > 1:
+            if num.value > 1:  # a literal is never negative
                 raise self.fail(num, f"{what} {num.text} lies outside [0, 1]")
             return element, num.value
 
         return self.parse_braced(pair)
 
     def parse_state(self) -> StateDecl:
-        kw = self.advance()
-        name = self.expect_ident("state name")
-        self.declare("state", name)
-        self.expect("COLON", "':'")
-        ref, elements = self.parse_space_ref()
-        self.expect("EQUALS", "'='")
+        kw, name, ref, elements = self.parse_typed("state")
         pairs = self.parse_weights(elements, "weight")
-        total = sum(w for _, w in pairs)
+        total = _total(pairs)
         if total != 1:
             raise self.fail(kw, f"weights sum to {total}, expected 1")
-        self.names["state"].add(name.text)
+        self.define("state", name.text)
         return StateDecl(name.text, ref, tuple(pairs), line=kw.line)
 
     def parse_predicate(self) -> PredicateDecl:
-        kw = self.advance()
-        name = self.expect_ident("predicate name")
-        self.declare("predicate", name)
-        self.expect("COLON", "':'")
-        ref, elements = self.parse_space_ref()
-        self.expect("EQUALS", "'='")
+        kw, name, ref, elements = self.parse_typed("predicate")
         pairs = self.parse_weights(elements, "value")
-        self.names["predicate"].add(name.text)
+        self.define("predicate", name.text)
         return PredicateDecl(name.text, ref, tuple(pairs), line=kw.line)
 
     def parse_channel(self) -> ChannelDecl:
-        kw = self.advance()
-        name = self.expect_ident("channel name")
-        self.declare("channel", name)
-        self.expect("COLON", "':'")
-        dom_ref, dom_elements = self.parse_space_ref()
-        self.expect("ARROW", "'->'")
-        cod_ref, cod_elements = self.parse_space_ref()
-        self.expect("EQUALS", "'='")
+        kw, name, dom_ref, dom_elements, cod_ref, cod_elements = (
+            self.parse_arrow_typed("channel")
+        )
         seen: set = set()
 
         def row() -> tuple:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             element = self.parse_key(
                 dom_elements, seen, "is not a domain element", "row for"
             )
             self.expect("COLON", "':'")
             pairs = self.parse_weights(cod_elements, "weight")
-            total = sum(w for _, w in pairs)
+            total = _total(pairs)
             if total != 1:
                 raise self.fail(
                     tok,
@@ -644,18 +675,13 @@ class _Parser:
             raise self.fail(
                 kw, f"missing row for {core.render_element(missing[0])}"
             )
-        self.names["channel"].add(name.text)
+        self.define("channel", name.text)
         return ChannelDecl(name.text, dom_ref, cod_ref, tuple(rows), line=kw.line)
 
     def parse_function(self) -> FunctionDecl:
-        kw = self.advance()
-        name = self.expect_ident("function name")
-        self.declare("function", name)
-        self.expect("COLON", "':'")
-        dom_ref, dom_elements = self.parse_space_ref()
-        self.expect("ARROW", "'->'")
-        cod_ref, cod_elements = self.parse_space_ref()
-        self.expect("EQUALS", "'='")
+        kw, name, dom_ref, dom_elements, cod_ref, cod_elements = (
+            self.parse_arrow_typed("function")
+        )
         seen: set = set()
 
         def arrow() -> tuple:
@@ -663,7 +689,7 @@ class _Parser:
                 dom_elements, seen, "is not a domain element", "mapping for"
             )
             self.expect("ARROW", "'->'")
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             target = self.parse_element()
             if target not in cod_elements:
                 raise self.fail(
@@ -678,40 +704,38 @@ class _Parser:
                 kw, f"function is not total: no value for "
                 f"{core.render_element(missing[0])}"
             )
-        self.names["function"].add(name.text)
+        self.define("function", name.text)
         return FunctionDecl(
             name.text, dom_ref, cod_ref, tuple(mapping), line=kw.line
         )
 
     def parse_query(self) -> QueryDecl:
-        kw = self.advance()
-        name = self.expect_ident("query name")
-        self.declare("query", name)
+        kw, name = self.parse_header("query")
         self.expect("EQUALS", "'='")
         expr = self.parse_expr()
-        self.names["query"].add(name.text)
+        self.define("query", name.text)
         return QueryDecl(name.text, expr, line=kw.line)
 
     def parse_expr(self) -> QueryExpr:
         tok = self.expect("IDENT", "a name or operation")
-        if self.peek().kind != "LPAREN":
-            self.check_reference(tok)
-            return NameRef(tok.text, line=tok.line, column=tok.column)
-        if tok.text not in OPERATIONS:
+        if self.tokens[self.pos].kind != "LPAREN":
+            if tok.text not in self.declared:  # declared earlier, any kind
+                raise self.fail(tok, f"unknown name {tok.text!r}")
+            return NameRef(tok.text, tok.line, tok.column)
+        op = OPERATIONS.get(tok.text)
+        if op is None:
             raise self.fail(tok, f"unknown operation {tok.text!r}")
         self.descend(tok)
-        self.advance()  # LPAREN
-        args: list = []
-        for i, kind in enumerate(OPERATIONS[tok.text].args):
-            if i > 0:
-                self.expect("COMMA", "','")
+        self.pos += 1  # LPAREN
+        args = [self.parse_arg(op.args[0])]
+        for kind in op.args[1:]:
+            self.expect("COMMA", "','")
             args.append(self.parse_arg(kind))
         self.expect("RPAREN", "')'")
         self.depth -= 1
-        return Call(tok.text, tuple(args), line=tok.line, column=tok.column)
+        return Call(tok.text, tuple(args), tok.line, tok.column)
 
     def parse_arg(self, kind: str):
-        tok = self.peek()
         if kind == EVENT:
             elements = self.parse_braced(self.parse_element, "'{' starting an event")
             return EventLiteral(tuple(elements))
@@ -720,25 +744,25 @@ class _Parser:
             if which.text not in ("first", "second"):
                 raise self.fail(which, "expected 'first' or 'second'")
             return which.text
+        tok = self.tokens[self.pos]
         if kind == SCALAR and tok.kind == "NUMBER":
-            self.advance()
-            if tok.value < 0 or tok.value > 1:
+            self.pos += 1
+            if tok.value > 1:  # a literal is never negative
                 raise self.fail(tok, f"scalar {tok.text} lies outside [0, 1]")
             return tok.value
         if kind == FACTOR:
             num = self.expect("NUMBER", "a positive rational")
-            if num.value <= 0:
+            if num.value == 0:  # a literal is never negative
                 raise self.fail(num, f"Bayes factor must be positive, got {num.text}")
             return num.value
         return self.parse_expr()
 
-    def check_reference(self, tok: Token) -> None:
-        """References must name something declared earlier (any kind)."""
-        if tok.text in self.spaces:
-            return
-        if any(tok.text in table for table in self.names.values()):
-            return
-        raise self.fail(tok, f"unknown name {tok.text!r}")
+
+def _total(pairs: list[tuple]) -> Fraction:
+    """The sum of the weights of ``(element, weight)`` pairs, added as
+    integers over the lcm of the denominators."""
+    den = lcm(*(w.denominator for _, w in pairs))
+    return Fraction(sum(w.numerator * (den // w.denominator) for _, w in pairs), den)
 
 
 def parse(source: str) -> list[Declaration]:
@@ -888,9 +912,7 @@ def compile_network(decls: list[Declaration]) -> Environment:
         elif isinstance(decl, ChannelDecl):
             domain = _resolve_ref(env, decl.domain)
             codomain = _resolve_ref(env, decl.codomain)
-            env.channels[decl.name] = core.make_channel(
-                domain, codomain, {x: dict(pairs) for x, pairs in decl.rows}
-            )
+            env.channels[decl.name] = core.make_channel(domain, codomain, decl.rows)
         elif isinstance(decl, FunctionDecl):
             domain = _resolve_ref(env, decl.domain)
             codomain = _resolve_ref(env, decl.codomain)
@@ -910,21 +932,23 @@ def _resolve(env: Environment, name: str, expected: Optional[str] = None):
     name, in this order; the first of the expected kind wins, otherwise
     the first one.  None when nothing of that name is declared.
     """
-    candidates = []
-    if name in env.queries:
-        query = env.queries[name]
-        candidates.append((query.kind, query.info, query))
+    first = None
+    query = env.queries.get(name)
+    if query is not None:
+        first = (query.kind, query.info, query)
+        if query.kind == expected:
+            return first
     for table, kind in (
         (env.states, STATE), (env.channels, CHAN), (env.predicates, PRED)
     ):
-        if name in table:
-            value = table[name]
+        value = table.get(name)
+        if value is not None:
             info = (value.domain, value.codomain) if kind == CHAN else value.space
-            candidates.append((kind, info, value))
-    for candidate in candidates:
-        if candidate[0] == expected:
-            return candidate
-    return candidates[0] if candidates else None
+            if kind == expected:
+                return kind, info, value
+            if first is None:
+                first = (kind, info, value)
+    return first
 
 
 # -- static space-checking and name binding ----------------------------------
@@ -944,36 +968,36 @@ def check_expr(
     the query name and subexpression path, so an ill-spaced query never
     starts evaluating.
     """
-    where = path
     if isinstance(expr, Call):
         op = OPERATIONS[expr.op]
         where = f"{path}/{expr.op}"
         infos, args = [], []
         for i, (kind, arg) in enumerate(zip(op.args, expr.args)):
-            if isinstance(arg, EventLiteral):
-                arg = arg.elements
             if isinstance(arg, (NameRef, Call)):
                 _, info, arg = check_expr(arg, env, query, f"{where}.arg{i}", kind)
+            elif isinstance(arg, EventLiteral):
+                info = arg = arg.elements
             else:
                 info = arg
             infos.append(info)
             args.append(arg)
-    try:
-        if isinstance(expr, Call):
+        try:
             kind, info = op.space(*infos)
-            bound = Call(expr.op, tuple(args))
-        else:
-            found = _resolve(env, expr.name, expected)
-            if found is None:
-                raise SpaceMismatch(f"unknown name {expr.name!r}")
-            kind, info, bound = found
-    except SpaceMismatch as exc:
-        problem = str(exc)
+        except SpaceMismatch as exc:
+            raise SpaceMismatch(f"query {query!r} at {where}: {exc}") from None
+        bound = Call(expr.op, tuple(args))
     else:
-        if expected in (None, kind):
-            return kind, info, bound
-        where, problem = path, f"expected a {expected}, got a {kind}"
-    raise SpaceMismatch(f"query {query!r} at {where}: {problem}")
+        found = _resolve(env, expr.name, expected)
+        if found is None:
+            raise SpaceMismatch(
+                f"query {query!r} at {path}: unknown name {expr.name!r}"
+            )
+        kind, info, bound = found
+    if expected is not None and kind != expected:
+        raise SpaceMismatch(
+            f"query {query!r} at {path}: expected a {expected}, got a {kind}"
+        )
+    return kind, info, bound
 
 
 # ---------------------------------------------------------------------------
@@ -1003,9 +1027,9 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     query of that name, else the state, channel (or function), or
     predicate.  The result carries an UpdateReport when the query's
     top-level operation is one of the update rules.  Each query it
-    references is evaluated once, however often it is used; nothing is
-    kept between calls.  A chain of query references too deep for the
-    interpreter's stack raises NestingTooDeep.
+    references is evaluated once, however often it is used, and a chain
+    of query references may be of any length; nothing is kept between
+    calls.
     """
     found = _resolve(env, name)
     if found is None:
@@ -1013,40 +1037,55 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     kind, _info, target = found
     if not isinstance(target, CompiledQuery):
         return QueryResult(name, kind, target, name)
-    try:
-        value, report = _eval_expr(target.bound, top=True)
-    except RecursionError:
-        raise NestingTooDeep(
-            f"query {name!r} references queries too deeply to evaluate"
-        ) from None
+    bound, report = target.bound, None
+    op = OPERATIONS[bound.op] if isinstance(bound, Call) else None
+    if op is not None and op.report:  # the same posterior, with its working
+        memo: dict = {}
+        args = [_eval_expr(arg, memo) for arg in bound.args]
+        report = getattr(op.module, op.report)(*args)
+        value = report.posterior
+    else:
+        value = _eval_expr(bound)
     return QueryResult(name, kind, value, render_expr(target.decl.expr), report)
 
 
-def _eval_expr(bound, top: bool = False, memo: Optional[dict] = None):
-    """Returns (value, report or None) of a bound expression.
+def _eval_expr(bound, memo: Optional[dict] = None):
+    """The value of a bound expression, worked out on an explicit stack.
 
-    A CompiledQuery evaluates its own bound expression, once per ``memo``:
-    every later use returns the stored value.  The memo is keyed by
-    ``id``, so it must not outlive the evaluation that creates it.  A
-    call runs its operation's kernel on the evaluated arguments; at the
-    top level an update rule runs its report instead, which carries the
-    same posterior.  Anything else is already a value or a literal.
+    The work goes in the order a recursive evaluation would take:
+    arguments left to right, each before the call that uses it, so the
+    first operation to fail is the same.  A call runs its operation's
+    kernel.  A CompiledQuery evaluates its own bound expression the first
+    time it is reached and keeps the value in ``memo``; every later use
+    reads it.  The memo is keyed by ``id``, so it must not outlive the
+    evaluation that creates it.  Anything else is already a value or a
+    literal.  Neither nesting nor a chain of query references deepens the
+    interpreter's stack.
     """
-    if memo is None:
-        memo = {}
-    if isinstance(bound, CompiledQuery):
-        key = id(bound)
-        if key not in memo:
-            memo[key] = _eval_expr(bound.bound, memo=memo)[0]
-        return memo[key], None
-    if not isinstance(bound, Call):
-        return bound, None
-    op = OPERATIONS[bound.op]
-    args = [_eval_expr(arg, memo=memo)[0] for arg in bound.args]
-    if top and op.report:
-        report = getattr(op.module, op.report)(*args)
-        return report.posterior, report
-    return getattr(op.module, op.kernel)(*args), None
+    memo = {} if memo is None else memo
+    values: list = []
+    todo: list = [(bound, False)]  # (node, whether its inputs are on values)
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, CompiledQuery):
+            if ready:
+                memo[id(node)] = values[-1]
+            elif id(node) in memo:
+                values.append(memo[id(node)])
+            else:
+                todo += ((node, True), (node.bound, False))
+        elif not isinstance(node, Call):
+            values.append(node)
+        elif ready:
+            op = OPERATIONS[node.op]
+            start = len(values) - len(node.args)
+            args = values[start:]
+            del values[start:]
+            values.append(getattr(op.module, op.kernel)(*args))
+        else:
+            todo.append((node, True))
+            todo += ((arg, False) for arg in reversed(node.args))
+    return values.pop()
 
 
 def load(source: str) -> Environment:

@@ -46,6 +46,7 @@ from softbayes.sampling import (
     random_space,
     random_state,
 )
+from theorems import jeffrey_corrects, pearl_improves
 
 SEED = 20250809
 INSTANCES = 500
@@ -408,6 +409,25 @@ def _suite_distance_bound(n):
         ) + total_variation(state_transform(c, other), rho)
 
 
+def _suite_pearl_improvement(n):
+    rng = _rng(12)
+    for _ in range(n):
+        dom, cod = random_space(rng, "x"), random_space(rng, "y")
+        sigma = random_state(rng, dom)
+        c = random_channel(rng, dom, cod)
+        q = random_predicate(rng, cod, nonzero=True)
+        if validity(sigma, predicate_transform(c, q)) == 0:
+            continue
+        assert pearl_improves(sigma, c, q)
+
+
+def _suite_jeffrey_correction(n):
+    rng = _rng(13)
+    for _ in range(n):
+        dom, cod, sigma, c = _full_triple(rng)
+        assert jeffrey_corrects(sigma, c, random_state(rng, cod))
+
+
 def _suite_oracle_equivalence(n):
     mismatches = run_oracle_check(seed=SEED, instances=n)
     assert mismatches == []
@@ -426,6 +446,8 @@ def test_criterion_7_randomized_law_suites():
         ("ATC postcondition", _suite_atc_postcondition),
         ("NEC/Pearl agreement", _suite_nec_pearl_agreement),
         ("distance bound", _suite_distance_bound),
+        ("Pearl improvement through a channel", _suite_pearl_improvement),
+        ("Jeffrey correction", _suite_jeffrey_correction),
         ("oracle equivalence", _suite_oracle_equivalence),
     ]
     start = time.perf_counter()

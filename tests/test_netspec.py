@@ -402,18 +402,41 @@ class TestCompileAndEvaluate:
             assert evaluate(env, f"{name}_nested").value == value
         assert evaluate(env, "a").report.intermediate["event_prior_mass"] == 1
 
-    def test_reference_chain_too_deep_names_the_query(self):
+    def test_reference_chain_of_600_links_evaluates(self):
         source = DISEASE_MINIMAL + (
             "channel id : disease -> disease = { d: { d: 1 }, ~d: { ~d: 1 } }\n"
             "query q0 = transform(id, prior)\n"
         ) + "".join(f"query q{i} = transform(id, q{i - 1})\n" for i in range(1, 600))
         env = load(source)
         assert evaluate(env, "q10").value == env.states["prior"]
-        with pytest.raises(errors.NestingTooDeep) as err:
-            evaluate(env, "q599")
-        assert str(err.value) == (
-            "query 'q599' references queries too deeply to evaluate"
+        assert evaluate(env, "q599").value == env.states["prior"]
+
+    def test_reference_chain_of_5000_links_evaluates(self):
+        source = DISEASE_MINIMAL + (
+            "query q0 = transform(sens, prior)\n"
+        ) + "".join(f"query q{i} = marginal(product(q{i - 1}, prior), first)\n"
+                    for i in range(1, 5000))
+        env = load(source)
+        assert evaluate(env, "q4999").value == evaluate(env, "q0").value
+
+    def test_first_failing_operation_left_to_right_is_reported(self):
+        """A failing subexpression left of a failing query reference wins,
+        as in a recursive evaluation, though the reference was declared
+        first."""
+        source = (
+            "space s = { a, b }\n"
+            "state p : s = { a: 1/2, b: 1/2 }\n"
+            "state gap : s = { a: 1, b: 0 }\n"
+            "predicate z : s = { a: 0, b: 0 }\n"
+            "channel c : s -> s = { a: { a: 1 }, b: { b: 1 } }\n"
+            "query inverted = transform(dagger(c, gap), p)\n"
+            "query q = blend(1/2, condition(p, z), inverted)\n"
         )
+        env = load(source)
+        with pytest.raises(errors.NotFullSupport):
+            evaluate(env, "inverted")
+        with pytest.raises(errors.ZeroValidity):
+            evaluate(env, "q")
 
     @staticmethod
     def count_calls(monkeypatch, module, name):

@@ -45,6 +45,7 @@ from softbayes.oracle import (
     oracle_pearl,
     y_marginal,
 )
+from theorems import divergence_at_most, jeffrey_corrects, pearl_improves
 
 MAX_NUM = 20
 
@@ -366,6 +367,50 @@ def sparse_instance(draw):
     c = Channel(dom, cod, {x: state(cod) for x in dom})
     q = Predicate(cod, {y: F(draw(num), MAX_NUM) for y in cod})
     return sigma, c, state(cod), q
+
+
+class TestUpdateTheorems:
+    """The paper's two theorems, decided exactly: Pearl's rule improves the
+    evidence's validity through the channel, Jeffrey's rule moves the
+    prediction towards the evidence in KL divergence."""
+
+    @given(data=st.data())
+    def test_pearl_improves_through_a_channel(self, data):
+        sigma, c, cod = data.draw(triple())
+        q = data.draw(predicate_on(cod))
+        assume(validity(sigma, predicate_transform(c, q)) != 0)
+        assert pearl_improves(sigma, c, q)
+
+    @given(sparse_instance())
+    def test_jeffrey_corrects_towards_the_evidence(self, instance):
+        """With support gaps in c >> sigma wherever the evidence avoids them."""
+        sigma, c, rho, _ = instance
+        predicted = state_transform(c, sigma)
+        assume(all(predicted(y) for y in rho.support()))
+        assert jeffrey_corrects(sigma, c, rho, relaxed=True)
+
+    @given(data=st.data())
+    def test_jeffrey_corrects_with_full_support(self, data):
+        sigma, c, cod = data.draw(triple(full=True))
+        rho = data.draw(state_on(cod))
+        assert jeffrey_corrects(sigma, c, rho)
+
+    def test_divergence_comparison_cases(self):
+        space = _space("y", 2)
+
+        def s(a, b):
+            return State(space, {"y0": F(*a), "y1": F(*b)})
+
+        rho, far, gap = s((1, 2), (1, 2)), s((1, 4), (3, 4)), s((1, 1), (0, 1))
+        assert divergence_at_most(rho, rho, far)  # 0 <= KL(rho ‖ far)
+        assert not divergence_at_most(rho, far, rho)
+        assert divergence_at_most(rho, far, far)
+        assert not divergence_at_most(rho, gap, far)  # infinite vs finite
+        assert divergence_at_most(rho, far, gap)
+        assert divergence_at_most(rho, gap, gap)  # both infinite
+        point = s((1, 1), (0, 1))  # n_y = 0 at y1: a gap there costs nothing
+        assert divergence_at_most(point, gap, far)
+        assert not divergence_at_most(point, far, gap)
 
 
 class TestIntegerKernelAgainstOracle:
