@@ -128,14 +128,28 @@ def cmd_sweep(args) -> int:
         else render_fraction
     )
     print("r,jeffrey,pearl")
-    for i in range(args.steps + 1):
-        r = Fraction(i, args.steps)
-        rho = core.State(channel.codomain, {y1: r, y2: 1 - r})
-        # relaxed inversion: at the endpoints the evidence is a point mass,
-        # where both rules collapse to conditioning on that point
-        jeff = updates.jeffrey_update(prior, channel, rho, relaxed=True)
-        pred = core.make_predicate(channel.codomain, {y1: r, y2: 1 - r})
-        pearl = updates.pearl_update(prior, channel, pred)
+    # For binary evidence both rules mix the same two inverted rows d1, d2:
+    # Jeffrey(r) = blend(r, d1, d2), and Pearl(r) = blend(s, d1, d2) with
+    # s = r*tau1 / (r*tau1 + (1-r)*tau2), tau = c >> sigma.  So invert once,
+    # where the prediction has weight, and blend twice per step.  Jeffrey's
+    # inversion is relaxed: it needs d1 only when r > 0 and d2 only when r < 1,
+    # so at an endpoint both rules collapse to conditioning on that point.
+    w, rows, predicted, _ = updates._prediction(channel, prior)
+    supported = [j for j, t in enumerate(predicted) if t]
+    inverted = updates._inverted_rows(channel, w, rows, predicted, supported)
+    # where the prediction misses y there is no row y, and any step that
+    # would weigh it fails the support check first: the other row stands in
+    d1 = inverted.get(y1, inverted.get(y2))
+    d2 = inverted.get(y2, d1)
+    t1, t2 = predicted
+    n = args.steps
+    for i in range(n + 1):
+        needed = [j for j, k in enumerate((i, n - i)) if k]
+        updates._require_support(channel, predicted, needed)
+        r = Fraction(i, n)
+        jeff = updates.blend_update(r, d1, d2)
+        s = Fraction(i * t1, i * t1 + (n - i) * t2)
+        pearl = updates.blend_update(s, d1, d2)
         print(f"{fmt(r)},{fmt(jeff.weights[target])},{fmt(pearl.weights[target])}")
     return EXIT_OK
 

@@ -85,16 +85,19 @@ class Space:
 
     name: str
     elements: tuple[Element, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(self.elements) == 0:
             raise ValueError(f"space {self.name!r} needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        members = frozenset(self.elements)
+        if len(members) != len(self.elements):
             raise DuplicateElement(f"space {self.name!r} has repeated elements")
+        object.__setattr__(self, "_members", members)
 
     def __contains__(self, element: Element) -> bool:
-        return element in self.elements
+        return element in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -103,7 +106,7 @@ class Space:
         return iter(self.elements)
 
     def require(self, element: Element) -> None:
-        if element not in self.elements:
+        if element not in self._members:
             raise UnknownElement(
                 f"{render_element(element)!r} is not an element of space {self.name!r}"
             )
@@ -167,10 +170,15 @@ def _check_numerators(
 
 def _checked_init(value, entries_attr: str, what: str, is_state: bool) -> None:
     """Validate a public construction: known elements and Fraction entries,
-    put over the lcm of their denominators and checked as integers."""
+    put over the lcm of their denominators and checked as integers.
+
+    Membership is one subset test; only when it fails are the entries
+    walked for it, so the first faulty entry still decides the error."""
     space, entries = value.space, getattr(value, entries_attr)
+    known = space._members.issuperset(entries)
     for x, w in entries.items():
-        space.require(x)
+        if not known:
+            space.require(x)
         if not isinstance(w, Fraction):
             raise TypeError(f"{what} at {render_element(x)} is not a Fraction")
     full = [entries.get(x, ZERO) for x in space.elements]

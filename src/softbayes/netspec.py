@@ -775,8 +775,8 @@ def parse(source: str) -> list[Declaration]:
     parser = _Parser(tokens)
     parser.diagnostics.extend(diagnostics)
     decls = parser.parse_file()
-    if parser.diagnostics:
-        raise NetspecError(parser.diagnostics)
+    if parser.diagnostics:  # in line order; within a line, tokenizer first
+        raise NetspecError(sorted(parser.diagnostics, key=lambda d: d.line))
     return decls
 
 

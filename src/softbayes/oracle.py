@@ -6,12 +6,13 @@ renormalising, and summing raw rationals.  None of the transformation
 operators from the main library are used — that independence is the
 point, since test suites compare both routes for exact equality.
 
-Deliberately unoptimised; tables are tiny in every intended use.
+Deliberately unoptimised, apart from keeping each conditioned row on its
+table; tables are tiny in every intended use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -29,6 +30,8 @@ class JointTable:
     domain: Space
     codomain: Space
     mass: Mapping[tuple[Element, Element], Fraction]
+    # y -> the X-marginal conditioned on 1_y, filled by oracle_dagger_row
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = ZERO
@@ -92,12 +95,19 @@ def oracle_pearl(joint: JointTable, q_values: Mapping[Element, Fraction]) -> Sta
 
 
 def oracle_dagger_row(joint: JointTable, y: Element) -> State:
-    """The inverted-channel row at y: condition on the point evidence 1_y."""
-    joint.codomain.require(y)
-    weight = {
-        (x, y2): Fraction(1) if y2 == y else ZERO for (x, y2) in joint.mass
-    }
-    return x_marginal(oracle_condition(joint, weight))
+    """The inverted-channel row at y: condition on the point evidence 1_y.
+
+    Each row is computed once per table and kept, so Jeffrey's rule and a
+    row-by-row comparison share it; a row with no mass is never kept.
+    """
+    row = joint._rows.get(y)
+    if row is None:
+        joint.codomain.require(y)
+        weight = {
+            (x, y2): Fraction(1) if y2 == y else ZERO for (x, y2) in joint.mass
+        }
+        row = joint._rows[y] = x_marginal(oracle_condition(joint, weight))
+    return row
 
 
 def oracle_jeffrey(joint: JointTable, rho: State) -> State:

@@ -359,6 +359,46 @@ class TestSweep:
         )
         assert code == 1
 
+    GAPS = (
+        "space x = { a, b }\n"
+        "space y = { u, v }\n"
+        "space z = { p, q }\n"
+        "state pr : x = { a: 1/2, b: 1/2 }\n"
+        "state elsewhere : z = { p: 1/2, q: 1/2 }\n"
+        "channel misses_u : x -> y = { a: { v: 1 }, b: { v: 1 } }\n"
+        "channel misses_v : x -> y = { a: { u: 1 }, b: { u: 1 } }\n"
+    )
+
+    @pytest.mark.parametrize(
+        "channel, prior, decimal, expected_out, expected_err",
+        [
+            ("misses_u", "pr", [], "r,jeffrey,pearl\n0,1/2,1/2\n",
+             "error: cannot invert: predicted state has weight 0 at u\n"),
+            ("misses_u", "pr", ["--decimal", "3"],
+             "r,jeffrey,pearl\n0.000,0.500,0.500\n",
+             "error: cannot invert: predicted state has weight 0 at u\n"),
+            ("misses_v", "pr", [], "r,jeffrey,pearl\n",
+             "error: cannot invert: predicted state has weight 0 at v\n"),
+            ("misses_v", "pr", ["--decimal", "3"], "r,jeffrey,pearl\n",
+             "error: cannot invert: predicted state has weight 0 at v\n"),
+            ("misses_u", "elsewhere", [], "r,jeffrey,pearl\n",
+             "error: inversion: space 'z' is not space 'x'\n"),
+        ],
+        ids=["gap-y1", "gap-y1-decimal", "gap-y2", "gap-y2-decimal", "mismatch"],
+    )
+    def test_failure_prints_partial_csv_then_exits_one(
+        self, capsys, tmp_path, channel, prior, decimal, expected_out, expected_err
+    ):
+        """A prediction gap fails at the first step whose evidence needs the
+        missing element, after the rows before it are printed."""
+        f = tmp_path / "gaps.netspec"
+        f.write_text(self.GAPS)
+        code, out, err = run(
+            capsys, "sweep", str(f), "--channel", channel, "--prior", prior,
+            "--target", "a" if prior == "pr" else "p", "--steps", "4", *decimal,
+        )
+        assert (code, out, err) == (1, expected_out, expected_err)
+
 
 class TestExamples:
     def test_all_pass(self, capsys):
@@ -384,6 +424,33 @@ class TestCheck:
         code_a, out_a, _ = run(capsys, "check", "--seed", "1", "--instances", "10")
         code_b, out_b, _ = run(capsys, "check", "--seed", "2", "--instances", "10")
         assert code_a == code_b == 0
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [("dagger", "inverted row"), ("jeffrey_update", "Jeffrey update")],
+    )
+    def test_wrong_kernel_is_reported(self, capsys, monkeypatch, kernel, message):
+        """A kernel that returns a valid but wrong value is caught: every
+        instance has full-support priors and rows, so no true inverted row
+        or Jeffrey posterior is a point mass."""
+        from softbayes import cli, core, updates
+
+        def wrong_dagger(c, sigma):
+            first = core.point_mass(c.domain, c.domain.elements[0])
+            return core.Channel(c.codomain, c.domain, {y: first for y in c.codomain})
+
+        def wrong_jeffrey(sigma, c, rho, **_):
+            return core.point_mass(sigma.space, sigma.space.elements[0])
+
+        wrong = {"dagger": wrong_dagger, "jeffrey_update": wrong_jeffrey}[kernel]
+        monkeypatch.setattr(updates, kernel, wrong)
+        mismatches = cli.run_oracle_check(seed=5, instances=4)
+        assert mismatches
+        assert all(message in line and "differs" in line for line in mismatches)
+        code, out, err = run(capsys, "check", "--seed", "5", "--instances", "4")
+        assert code == 1
+        assert out == "oracle check: 4 instances, seed 5: MISMATCH\n"
+        assert err == "".join(f"{line}\n" for line in mismatches)
 
 
 class TestUsage:

@@ -127,6 +127,18 @@ class TestIntegerForm:
         with pytest.raises(TypeError, match="value at d is not a Fraction"):
             Predicate(self.SP, {"d": 1})
 
+    def test_entries_are_checked_in_order_membership_first(self):
+        """The first faulty entry decides the error; within one entry an
+        unknown element wins over a non-Fraction value."""
+        with pytest.raises(TypeError, match="weight at d is not a Fraction"):
+            State(self.SP, {"d": 1, "zz": F(0)})
+        with pytest.raises(UnknownElement, match="^'zz' is not an element of space"):
+            State(self.SP, {"zz": 1, "d": F(1)})
+        with pytest.raises(UnknownElement, match="^'zz' is not an element of space"):
+            Predicate(self.SP, {"d": F(1), "zz": F(1)})
+        with pytest.raises(TypeError, match="value at ~d is not a Fraction"):
+            Predicate(self.SP, {"d": F(1), "~d": 1, "zz": 1})
+
     def test_weight_out_of_range(self):
         message = r"^weight 3/2 at d lies outside \[0, 1\]$"
         with pytest.raises(ValueOutOfRange, match=message):

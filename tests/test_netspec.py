@@ -107,6 +107,20 @@ class TestParse:
         assert diag.line == 2
         assert diag.severity == "error"
 
+    def test_diagnostics_are_listed_in_line_order(self):
+        """A parser error on line 2 comes before a bad character on line 3."""
+        source = (
+            "space s = { a, b }\n"
+            "state p : s = { a: 1/2, b: 1/3 }\n"
+            "space t = { c, d } @\n"
+        )
+        with pytest.raises(NetspecError) as err:
+            parse(source)
+        assert [str(d) for d in err.value.diagnostics] == [
+            "2:1: error: weights sum to 5/6, expected 1",
+            "3:20: error: unexpected character '@'",
+        ]
+
     def test_unknown_reference(self):
         with pytest.raises(NetspecError) as err:
             parse("state prior : nowhere = { x: 1 }")

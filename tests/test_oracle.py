@@ -92,3 +92,36 @@ class TestOracleJeffrey:
         rho = make_state(test_sp, {"t": F(1, 2), "~t": F(1, 2)})
         with pytest.raises(ZeroMass):
             oracle_jeffrey(joint, rho)
+
+
+class TestDaggerRowSharing:
+    def test_row_is_conditioned_once_per_table(self, disease, monkeypatch):
+        from softbayes import oracle
+
+        _, test_sp, _, prior, sens, _ = disease
+        joint = joint_of(prior, sens)
+        calls = []
+        real = oracle.oracle_condition
+        monkeypatch.setattr(
+            oracle, "oracle_condition", lambda *a: calls.append(1) or real(*a)
+        )
+        rho = make_state(test_sp, {"t": F(8, 10), "~t": F(2, 10)})
+        oracle_jeffrey(joint, rho)
+        rows = [oracle_dagger_row(joint, y) for y in ("t", "~t", "t")]
+        assert len(calls) == 2
+        assert rows[0] is rows[2]
+        assert joint == joint_of(prior, sens)  # the kept rows are not compared
+        assert "_rows" not in repr(joint)
+
+    def test_row_without_mass_fails_every_time(self, disease):
+        disease_sp, test_sp, _, prior, _, _ = disease
+        from softbayes import make_channel
+
+        broken = make_channel(
+            disease_sp, test_sp, {"d": {"t": F(1)}, "~d": {"t": F(1)}}
+        )
+        joint = joint_of(prior, broken)
+        for _ in range(2):
+            with pytest.raises(ZeroMass):
+                oracle_dagger_row(joint, "~t")
+        assert oracle_dagger_row(joint, "t") == prior

@@ -24,6 +24,7 @@ from softbayes import (
     marginal,
     nec_update,
     atc_update,
+    blend_update,
     pearl_update,
     point,
     point_mass,
@@ -367,6 +368,39 @@ def sparse_instance(draw):
     c = Channel(dom, cod, {x: state(cod) for x in dom})
     q = Predicate(cod, {y: F(draw(num), MAX_NUM) for y in cod})
     return sigma, c, state(cod), q
+
+
+class TestBinaryMixtureIdentity:
+    """For binary evidence both rules mix the same two inverted rows d1, d2:
+    Jeffrey at strength r is blend(r, d1, d2), Pearl's is blend(s, d1, d2)
+    with s = r*tau1 / (r*tau1 + (1-r)*tau2), tau = c >> sigma."""
+
+    @given(data=st.data())
+    def test_both_rules_are_blends_of_the_inverted_rows(self, data):
+        num = st.one_of(st.just(0), st.integers(1, MAX_NUM))
+
+        def state(space):
+            nums = data.draw(
+                st.lists(num, min_size=len(space), max_size=len(space)).filter(
+                    lambda ns: sum(ns) > 0
+                )
+            )
+            return State(space, {x: F(n, sum(nums)) for x, n in zip(space, nums)})
+
+        dom, cod = _space("x", data.draw(st.integers(1, 4))), _space("y", 2)
+        sigma = state(dom)
+        c = Channel(dom, cod, {x: state(cod) for x in dom})
+        tau = state_transform(c, sigma)
+        assume(tau.has_full_support)  # both inverted rows exist
+        d1, d2 = dagger(c, sigma).rows.values()
+        r = data.draw(unit_fraction())
+        y1, y2 = cod.elements
+        rho = State(cod, {y1: r, y2: 1 - r})
+        assert jeffrey_update(sigma, c, rho, relaxed=True) == blend_update(r, d1, d2)
+        t1, t2 = tau(y1), tau(y2)
+        s = r * t1 / (r * t1 + (1 - r) * t2)
+        q = make_predicate(cod, {y1: r, y2: 1 - r})
+        assert pearl_update(sigma, c, q) == blend_update(s, d1, d2)
 
 
 class TestUpdateTheorems:
