@@ -108,7 +108,8 @@ class Space:
     def require(self, element: Element) -> None:
         if element not in self._members:
             raise UnknownElement(
-                f"{render_element(element)!r} is not an element of space {self.name!r}"
+                f"{render_element(element)!r} is not an element of space {self.name!r}",
+                element=element, space=self,
             )
 
     def __repr__(self) -> str:
@@ -158,7 +159,8 @@ def _check_numerators(
     for x, k in zip(space.elements, nums):
         if k < 0 or k > den:
             raise ValueOutOfRange(
-                f"{what} {Fraction(k, den)} at {render_element(x)} lies outside [0, 1]"
+                f"{what} {Fraction(k, den)} at {render_element(x)} lies outside [0, 1]",
+                element=x,
             )
     if is_state:
         total = sum(nums)
@@ -292,7 +294,8 @@ def _collect_entries(
         space.require(element)
         if element in out:
             raise DuplicateElement(
-                f"{what}: element {render_element(element)} listed twice"
+                f"{what}: element {render_element(element)} listed twice",
+                element=element,
             )
         out[element] = as_fraction(raw)
     return out
@@ -386,7 +389,7 @@ class Channel:
             if row is None:
                 raise MissingRow(
                     f"channel has no row for {render_element(x)} "
-                    f"in domain {self.domain.name!r}"
+                    f"in domain {self.domain.name!r}", element=x,
                 )
             _require_same_space(row.space, self.codomain, "channel row")
         object.__setattr__(
@@ -431,17 +434,18 @@ class Channel:
 
 
 def make_channel(domain: Space, codomain: Space, rows) -> Channel:
-    """Build a channel from a mapping element -> weight listing."""
+    """Build a channel from a mapping or pairs element -> State or listing."""
     if isinstance(rows, Mapping):
         rows = rows.items()
     built: dict[Element, State] = {}
-    for element, weights in rows:
+    for element, row in rows:
         domain.require(element)
         if element in built:
             raise DuplicateElement(
-                f"channel: row for {render_element(element)} listed twice"
+                f"channel: row for {render_element(element)} listed twice",
+                element=element,
             )
-        built[element] = make_state(codomain, weights)
+        built[element] = row if isinstance(row, State) else make_state(codomain, row)
     return Channel(domain, codomain, built)
 
 
@@ -450,16 +454,24 @@ def identity_channel(space: Space) -> Channel:
     return Channel(space, space, {x: point_mass(space, x) for x in space.elements})
 
 
-def lift_function(domain: Space, codomain: Space, f: Mapping[Element, Element]) -> Channel:
-    """Turn a total function between spaces into a deterministic channel."""
+def lift_function(domain: Space, codomain: Space, f) -> Channel:
+    """Turn a total function, a mapping or (source, target) pairs checked
+    in turn, into a deterministic channel."""
+    if isinstance(f, Mapping):
+        f = f.items()
     rows: dict[Element, State] = {}
-    for x in domain.elements:
-        if x not in f:
-            raise UnknownElement(
-                f"function is not total: no value for {render_element(x)}"
+    for x, y in f:
+        domain.require(x)
+        if x in rows:
+            raise DuplicateElement(
+                f"function: mapping for {render_element(x)} listed twice", element=x
             )
-        codomain.require(f[x])
-        rows[x] = point_mass(codomain, f[x])
+        rows[x] = point_mass(codomain, y)
+    for x in domain.elements:
+        if x not in rows:
+            raise UnknownElement(
+                f"function is not total: no value for {render_element(x)}", element=x
+            )
     return Channel(domain, codomain, rows)
 
 

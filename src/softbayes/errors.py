@@ -9,7 +9,12 @@ from __future__ import annotations
 
 
 class SoftbayesError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``element``, when set, is the
+    element the error is about and ``space`` the space it was sought in."""
+
+    def __init__(self, message: str = "", element: object = None, space=None):
+        super().__init__(message)
+        self.element, self.space = element, space
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +59,6 @@ class NotAProductSpace(SoftbayesError):
 
 class NotFullSupport(SoftbayesError):
     """Bayesian inversion needs the predicted state to have full support."""
-
-    def __init__(self, message: str, element: object = None):
-        super().__init__(message)
-        self.element = element
 
 
 class DivisionBySupportGap(SoftbayesError):

@@ -21,10 +21,10 @@ Space references are a declared name or an inline binary product
 ``left * right``, whose elements are written as pairs ``(b,e)``.  All
 names must be declared before use; ``#`` starts a line comment.
 
-Parsing reports positioned diagnostics (including exact weight-sum
-checks); compilation builds the library values and statically
-space-checks every query, binding each of its names, before anything is
-evaluated.
+Parsing builds each value through ``core``'s constructors, which alone
+validate it, and reports positioned diagnostics; compilation collects the
+values and statically space-checks every query, binding each of its
+names, before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from types import ModuleType
 from typing import Callable, NamedTuple, Optional, Union
 
-from . import core, updates
+from . import core, errors, updates
 from .core import Channel, Element, Predicate, Space, State
 from .errors import SoftbayesError, SpaceMismatch
 
@@ -69,12 +68,14 @@ class NetspecError(SoftbayesError):
 
 SpaceRef = Union[str, tuple]  # declared name, or (left, right) inline product
 
+# ``value`` is the library value parsing built; it is not compared or shown.
 
 @dataclass(frozen=True)
 class SpaceDecl:
     name: str
     elements: tuple
     line: int = field(compare=False, default=0)
+    value: Optional[Space] = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,7 @@ class StateDecl:
     space: SpaceRef
     weights: tuple  # ((element, Fraction), ...)
     line: int = field(compare=False, default=0)
+    value: Optional[State] = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,7 @@ class PredicateDecl:
     space: SpaceRef
     values: tuple
     line: int = field(compare=False, default=0)
+    value: Optional[Predicate] = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,7 @@ class ChannelDecl:
     codomain: SpaceRef
     rows: tuple  # ((element, ((element, Fraction), ...)), ...)
     line: int = field(compare=False, default=0)
+    value: Optional[Channel] = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,7 @@ class FunctionDecl:
     codomain: SpaceRef
     mapping: tuple  # ((element, element), ...)
     line: int = field(compare=False, default=0)
+    value: Optional[Channel] = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -432,6 +437,14 @@ class _Recover(Exception):
     """Internal: abandon the current declaration and resynchronise."""
 
 
+# How netspec words the faults core finds in a listing: what an unknown key
+# is not, what a key listed twice is called, and what an entry's number is.
+_WEIGHTS = ("an element here", "element", "weight")
+_VALUES = ("an element here", "element", "value")
+_ROWS = ("a domain element", "row for", "")
+_ARROWS = ("a domain element", "mapping for", "")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -440,12 +453,13 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
         # symbol tables for single-pass reference checking; functions are
         # lifted to channels, so the two kinds share one table
-        self.spaces: dict[str, tuple] = {}
+        self.spaces: dict[str, Space] = {}
         self.names: dict[str, set] = {
             kw: set() for kw in ("state", "channel", "predicate", "query")
         }
         self.names["function"] = self.names["channel"]
         self.declared: set = set()  # every name above, of any kind
+        self.fault = None  # the current declaration's first fault core raised
 
     # -- token plumbing ----------------------------------------------------
 
@@ -495,12 +509,8 @@ class _Parser:
         self.depth += 1
 
     def synchronise(self) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF" or (
-                tok.kind == "IDENT" and tok.text in DECL_KEYWORDS
-            ):
-                return
+        """Skip to the next declaration keyword (only an IDENT has its text)."""
+        while self.peek().kind != "EOF" and self.peek().text not in DECL_KEYWORDS:
             self.advance()
 
     # -- shapes shared by declarations -------------------------------------
@@ -514,16 +524,42 @@ class _Parser:
         self.expect("RBRACE", "'}'")
         return items
 
-    def parse_key(self, allowed: tuple, seen: set, outside: str, twice: str):
-        """An element of ``allowed`` not yet in ``seen``, which it joins."""
-        tok = self.tokens[self.pos]
-        element = self.parse_element()
-        if element not in allowed:
-            raise self.fail(tok, f"{core.render_element(element)!r} {outside}")
-        if element in seen:
-            raise self.fail(tok, f"{twice} {core.render_element(element)} listed twice")
-        seen.add(element)
-        return element
+    def build(self, make, args: tuple, at: Token, entries: list, words: tuple,
+              spaces: tuple, whole: str = ""):
+        """``make(*args)``, a value from a ``core`` constructor, unless the
+        declaration already has a fault; a fault core raises becomes its
+        fault, as ``reject`` words it."""
+        if self.fault is None:
+            try:
+                return make(*args)
+            except SoftbayesError as exc:
+                self.fault = self.reject(exc, at, entries, words, spaces, whole)
+        return None
+
+    @staticmethod
+    def reject(exc: SoftbayesError, at: Token, entries: list, words: tuple,
+               spaces: tuple, whole: str) -> tuple[Token, str]:
+        """Where and how netspec reports a fault core raised in building a
+        value from (key, value, key token, value token) ``entries``, whose
+        keys and, for a function, values lie in ``spaces``: at the entry
+        that core names, or else at ``at``, after ``whole``."""
+        unknown, twice, number = words
+        x, shown = exc.element, core.render_element(exc.element)
+        if isinstance(exc, errors.UnknownElement):
+            for key, value, key_tok, value_tok in entries:
+                if key == x and exc.space is spaces[0]:
+                    return key_tok, f"{shown!r} is not {unknown}"
+                if value == x and exc.space is spaces[1]:
+                    return value_tok, f"{shown!r} is not a codomain element"
+        elif isinstance(exc, errors.DuplicateElement):
+            tok = [key_tok for key, _, key_tok, _ in entries if key == x][1]
+            return tok, f"{twice} {shown} listed twice"
+        elif isinstance(exc, errors.ValueOutOfRange):
+            num = next(num for key, _, _, num in entries if key == x)
+            return num, f"{number} {num.text} lies outside [0, 1]"
+        elif isinstance(exc, errors.MissingRow):
+            return at, f"missing row for {shown}"
+        return at, whole + str(exc)
 
     # -- declarations ------------------------------------------------------
 
@@ -531,17 +567,25 @@ class _Parser:
         decls: list[Declaration] = []
         while self.peek().kind != "EOF":
             tok = self.peek()
-            if tok.kind != "IDENT" or tok.text not in DECL_KEYWORDS:
+            if tok.text not in DECL_KEYWORDS:
                 self.error(tok, f"expected a declaration keyword, got {tok.text!r}")
                 self.advance()
                 self.synchronise()
                 continue
+            self.fault = None
             try:
                 decl = getattr(self, f"parse_{tok.text}")()
+                if self.fault:  # reported only once the declaration parses
+                    raise self.fail(*self.fault)
             except _Recover:
                 self.depth = 0
                 self.synchronise()
                 continue
+            if tok.text == "space":
+                self.spaces[decl.name] = decl.value
+            else:
+                self.names[tok.text].add(decl.name)
+            self.declared.add(decl.name)
             decls.append(decl)
         return decls
 
@@ -554,20 +598,15 @@ class _Parser:
             raise self.fail(name, f"duplicate {kind} name {name.text!r}")
         return kw, name
 
-    def define(self, kind: str, name: str) -> None:
-        """Make a parsed declaration's name visible to later ones."""
-        self.names[kind].add(name)
-        self.declared.add(name)
-
     def parse_space(self) -> SpaceDecl:
         kw, name = self.parse_header("space")
         self.expect("EQUALS", "'='")
         elements = tuple(self.parse_braced(self.parse_element))
-        if len(set(elements)) != len(elements):
+        try:
+            space = core.Space(name.text, elements)
+        except errors.DuplicateElement:
             raise self.fail(name, f"space {name.text!r} lists an element twice")
-        self.spaces[name.text] = elements
-        self.declared.add(name.text)
-        return SpaceDecl(name.text, elements, line=kw.line)
+        return SpaceDecl(name.text, elements, line=kw.line, value=space)
 
     def parse_element(self) -> Element:
         tok = self.tokens[self.pos]
@@ -582,138 +621,112 @@ class _Parser:
             return (left, right)
         return self.expect_ident("an element name").text
 
-    def parse_space_ref(self) -> tuple[SpaceRef, tuple]:
-        """Returns (reference, element tuple) resolving inline products."""
+    def parse_space_ref(self) -> tuple[SpaceRef, Space]:
+        """A declared space or an inline product: (reference, Space)."""
         first = self.expect_ident("a space name")
         left = self.resolve_space(first)
         if not self.accept("STAR"):
             return first.text, left
         second = self.expect_ident("a space name")
         right = self.resolve_space(second)
-        elements = tuple((l, r) for l in left for r in right)
-        return (first.text, second.text), elements
+        return (first.text, second.text), core.product_space(left, right)
 
-    def resolve_space(self, tok: Token) -> tuple:
+    def resolve_space(self, tok: Token) -> Space:
         if tok.text not in self.spaces:
             raise self.fail(tok, f"unknown space {tok.text!r}")
         return self.spaces[tok.text]
 
-    def parse_typed(self, kind: str) -> tuple[Token, Token, SpaceRef, tuple]:
-        """``kind name : space =``, the head of a state or predicate."""
-        kw, name = self.parse_header(kind)
+    def parse_typed(self, kind: str) -> list:
+        """``kind name : space =``, or ``... : space -> space =`` for a channel
+        or function: the keyword and name tokens, then each space's reference
+        and Space."""
+        head = [*self.parse_header(kind)]
         self.expect("COLON", "':'")
-        ref, elements = self.parse_space_ref()
+        head += self.parse_space_ref()
+        if kind in ("channel", "function"):
+            self.expect("ARROW", "'->'")
+            head += self.parse_space_ref()
         self.expect("EQUALS", "'='")
-        return kw, name, ref, elements
+        return head
 
-    def parse_arrow_typed(self, kind: str):
-        """``kind name : space -> space =``, the head of a channel or function."""
-        kw, name = self.parse_header(kind)
-        self.expect("COLON", "':'")
-        dom_ref, dom_elements = self.parse_space_ref()
-        self.expect("ARROW", "'->'")
-        cod_ref, cod_elements = self.parse_space_ref()
-        self.expect("EQUALS", "'='")
-        return kw, name, dom_ref, dom_elements, cod_ref, cod_elements
+    def parse_weights(self) -> list[tuple]:
+        """``{ elem: number, ... }`` as (element, value, element token,
+        number token) entries."""
 
-    def parse_weights(self, elements: tuple, what: str) -> list[tuple]:
-        """`elem: number` listing inside braces, validated against elements."""
-        seen: set = set()
-
-        def pair() -> tuple:
-            element = self.parse_key(
-                elements, seen, "is not an element here", "element"
-            )
+        def entry() -> tuple:
+            tok = self.tokens[self.pos]
+            element = self.parse_element()
             self.expect("COLON", "':'")
             num = self.expect("NUMBER", "a rational number")
-            if num.value > 1:  # a literal is never negative
-                raise self.fail(num, f"{what} {num.text} lies outside [0, 1]")
-            return element, num.value
+            return element, num.value, tok, num
 
-        return self.parse_braced(pair)
+        return self.parse_braced(entry)
+
+    def parse_weighted(self, kind: str, make, words: tuple, decl):
+        """``kind name : space = { elem: number, ... }``, a state or predicate."""
+        kw, name, ref, space = self.parse_typed(kind)
+        entries = self.parse_weights()
+        pairs = tuple(entry[:2] for entry in entries)
+        value = self.build(make, (space, pairs), kw, entries, words, (space, None))
+        return decl(name.text, ref, pairs, line=kw.line, value=value)
 
     def parse_state(self) -> StateDecl:
-        kw, name, ref, elements = self.parse_typed("state")
-        pairs = self.parse_weights(elements, "weight")
-        total = _total(pairs)
-        if total != 1:
-            raise self.fail(kw, f"weights sum to {total}, expected 1")
-        self.define("state", name.text)
-        return StateDecl(name.text, ref, tuple(pairs), line=kw.line)
+        return self.parse_weighted("state", core.make_state, _WEIGHTS, StateDecl)
 
     def parse_predicate(self) -> PredicateDecl:
-        kw, name, ref, elements = self.parse_typed("predicate")
-        pairs = self.parse_weights(elements, "value")
-        self.define("predicate", name.text)
-        return PredicateDecl(name.text, ref, tuple(pairs), line=kw.line)
+        return self.parse_weighted(
+            "predicate", core.make_predicate, _VALUES, PredicateDecl
+        )
 
     def parse_channel(self) -> ChannelDecl:
-        kw, name, dom_ref, dom_elements, cod_ref, cod_elements = (
-            self.parse_arrow_typed("channel")
-        )
-        seen: set = set()
+        kw, name, dom_ref, domain, cod_ref, codomain = self.parse_typed("channel")
 
-        def row() -> tuple:
-            tok = self.tokens[self.pos]
-            element = self.parse_key(
-                dom_elements, seen, "is not a domain element", "row for"
-            )
+        def row() -> tuple:  # core checks each row as it closes
+            key = self.tokens[self.pos]
+            element = self.parse_element()
             self.expect("COLON", "':'")
-            pairs = self.parse_weights(cod_elements, "weight")
-            total = _total(pairs)
-            if total != 1:
-                raise self.fail(
-                    tok,
-                    f"row {core.render_element(element)}: weights sum to "
-                    f"{total}, expected 1",
-                )
-            return element, tuple(pairs)
+            entries = self.parse_weights()
+            pairs = tuple(entry[:2] for entry in entries)
+            state = self.build(
+                core.make_state, (codomain, pairs), key, entries, _WEIGHTS,
+                (codomain, None), f"row {core.render_element(element)}: ",
+            )
+            return element, state, key, pairs
 
         rows = self.parse_braced(row)
-        missing = [x for x in dom_elements if x not in seen]
-        if missing:
-            raise self.fail(
-                kw, f"missing row for {core.render_element(missing[0])}"
-            )
-        self.define("channel", name.text)
-        return ChannelDecl(name.text, dom_ref, cod_ref, tuple(rows), line=kw.line)
+        value = self.build(
+            core.make_channel, (domain, codomain, [row[:2] for row in rows]), kw,
+            rows, _ROWS, (domain, None),
+        )
+        return ChannelDecl(
+            name.text, dom_ref, cod_ref, tuple((row[0], row[3]) for row in rows),
+            line=kw.line, value=value,
+        )
 
     def parse_function(self) -> FunctionDecl:
-        kw, name, dom_ref, dom_elements, cod_ref, cod_elements = (
-            self.parse_arrow_typed("function")
-        )
-        seen: set = set()
+        kw, name, dom_ref, domain, cod_ref, codomain = self.parse_typed("function")
 
         def arrow() -> tuple:
-            source = self.parse_key(
-                dom_elements, seen, "is not a domain element", "mapping for"
-            )
+            source = self.tokens[self.pos]
+            x = self.parse_element()
             self.expect("ARROW", "'->'")
-            tok = self.tokens[self.pos]
-            target = self.parse_element()
-            if target not in cod_elements:
-                raise self.fail(
-                    tok, f"{core.render_element(target)!r} is not a codomain element"
-                )
-            return source, target
+            target = self.tokens[self.pos]
+            return x, self.parse_element(), source, target
 
-        mapping = self.parse_braced(arrow)
-        missing = [x for x in dom_elements if x not in seen]
-        if missing:
-            raise self.fail(
-                kw, f"function is not total: no value for "
-                f"{core.render_element(missing[0])}"
-            )
-        self.define("function", name.text)
+        entries = self.parse_braced(arrow)
+        mapping = tuple(entry[:2] for entry in entries)
+        value = self.build(
+            core.lift_function, (domain, codomain, mapping), kw, entries, _ARROWS,
+            (domain, codomain),
+        )
         return FunctionDecl(
-            name.text, dom_ref, cod_ref, tuple(mapping), line=kw.line
+            name.text, dom_ref, cod_ref, mapping, line=kw.line, value=value
         )
 
     def parse_query(self) -> QueryDecl:
         kw, name = self.parse_header("query")
         self.expect("EQUALS", "'='")
         expr = self.parse_expr()
-        self.define("query", name.text)
         return QueryDecl(name.text, expr, line=kw.line)
 
     def parse_expr(self) -> QueryExpr:
@@ -756,13 +769,6 @@ class _Parser:
                 raise self.fail(num, f"Bayes factor must be positive, got {num.text}")
             return num.value
         return self.parse_expr()
-
-
-def _total(pairs: list[tuple]) -> Fraction:
-    """The sum of the weights of ``(element, weight)`` pairs, added as
-    integers over the lcm of the denominators."""
-    den = lcm(*(w.denominator for _, w in pairs))
-    return Fraction(sum(w.numerator * (den // w.denominator) for _, w in pairs), den)
 
 
 def parse(source: str) -> list[Declaration]:
@@ -884,44 +890,23 @@ class Environment:
         return cls({}, {}, {}, {}, {})
 
 
-def _resolve_ref(env: Environment, ref: SpaceRef) -> Space:
-    if isinstance(ref, tuple):
-        return core.product_space(env.spaces[ref[0]], env.spaces[ref[1]])
-    return env.spaces[ref]
-
-
 def compile_network(decls: list[Declaration]) -> Environment:
-    """Build library values from declarations, then check and bind each query.
+    """Collect the values parsing built, then check and bind each query.
 
-    Parsing already validated references, duplicates, ranges, and sums,
-    so value construction cannot fail here; query space-checking can, and
-    raises SpaceMismatch naming the query and subexpression path.  Each
-    query's names are bound to what was declared before it, so a later
-    declaration never changes an earlier query.
+    Query space-checking raises SpaceMismatch naming the query and
+    subexpression path.  Each query's names are bound to what was
+    declared before it, so a later declaration never changes an earlier
+    query.
     """
     env = Environment.empty()
+    tables = {SpaceDecl: env.spaces, StateDecl: env.states, ChannelDecl: env.channels,
+              FunctionDecl: env.channels, PredicateDecl: env.predicates}
     for decl in decls:
-        if isinstance(decl, SpaceDecl):
-            env.spaces[decl.name] = Space(decl.name, decl.elements)
-        elif isinstance(decl, StateDecl):
-            space = _resolve_ref(env, decl.space)
-            env.states[decl.name] = core.make_state(space, decl.weights)
-        elif isinstance(decl, PredicateDecl):
-            space = _resolve_ref(env, decl.space)
-            env.predicates[decl.name] = core.make_predicate(space, decl.values)
-        elif isinstance(decl, ChannelDecl):
-            domain = _resolve_ref(env, decl.domain)
-            codomain = _resolve_ref(env, decl.codomain)
-            env.channels[decl.name] = core.make_channel(domain, codomain, decl.rows)
-        elif isinstance(decl, FunctionDecl):
-            domain = _resolve_ref(env, decl.domain)
-            codomain = _resolve_ref(env, decl.codomain)
-            env.channels[decl.name] = core.lift_function(
-                domain, codomain, dict(decl.mapping)
-            )
-        elif isinstance(decl, QueryDecl):
+        if isinstance(decl, QueryDecl):
             checked = check_expr(decl.expr, env, decl.name, path=decl.name)
             env.queries[decl.name] = CompiledQuery(decl, *checked)
+        else:
+            tables[type(decl)][decl.name] = decl.value
     return env
 
 

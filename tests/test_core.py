@@ -311,6 +311,86 @@ class TestLiftFunction:
         with pytest.raises(MissingRow):
             make_channel(a, b, {"x": {"u": F(1)}})
 
+    @pytest.mark.parametrize(
+        "mapping, error, message",
+        [
+            (
+                {"x": "u", "y": "u", "zz": "u"},
+                UnknownElement,
+                "'zz' is not an element of space 'a2'",
+            ),
+            (
+                [("x", "u"), ("y", "u"), ("x", "u")],
+                DuplicateElement,
+                "function: mapping for x listed twice",
+            ),
+            (
+                [("x", "u"), ("y", "w")],
+                UnknownElement,
+                "'w' is not an element of space 'b1'",
+            ),
+            ([("x", "u")], UnknownElement, "function is not total: no value for y"),
+        ],
+        ids=["unknown-source", "repeated-source", "unknown-target", "not-total"],
+    )
+    def test_mapping_is_checked_pair_by_pair(self, mapping, error, message):
+        """An unknown or repeated source is rejected, not dropped."""
+        with pytest.raises(error) as err:
+            lift_function(Space("a2", ("x", "y")), Space("b1", ("u",)), mapping)
+        assert str(err.value) == message
+
+    def test_pairs_may_come_in_any_order(self):
+        a = Space("a2", ("x", "y"))
+        b = Space("b1", ("u",))
+        assert lift_function(a, b, [("y", "u"), ("x", "u")]) == lift_function(
+            a, b, {"x": "u", "y": "u"}
+        )
+
+
+class TestStructuredErrors:
+    """Construction errors name the element they are about, and an unknown
+    element also the space it was sought in; the messages are unchanged."""
+
+    SP = Space("s", ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "build, error, element",
+        [
+            (lambda sp: make_state(sp, {"c": F(1)}), UnknownElement, "c"),
+            (
+                lambda sp: make_state(sp, [("a", F(1)), ("a", F(0))]),
+                DuplicateElement,
+                "a",
+            ),
+            (lambda sp: make_predicate(sp, {"b": F(3, 2)}), ValueOutOfRange, "b"),
+            (lambda sp: make_channel(sp, sp, {"a": {"a": F(1)}}), MissingRow, "b"),
+            (
+                lambda sp: make_channel(sp, sp, [("a", {"a": F(1)})] * 2),
+                DuplicateElement,
+                "a",
+            ),
+            (
+                lambda sp: lift_function(sp, sp, {"a": "a", "b": "c"}),
+                UnknownElement,
+                "c",
+            ),
+        ],
+        ids=["unknown", "repeated", "range", "missing-row", "repeated-row", "target"],
+    )
+    def test_errors_carry_their_element(self, build, error, element):
+        with pytest.raises(error) as err:
+            build(self.SP)
+        assert err.value.element == element
+        if error is UnknownElement:
+            assert err.value.space is self.SP
+
+    def test_channel_rows_may_be_built_states(self):
+        sp = self.SP
+        rows = {"a": point_mass(sp, "a"), "b": {"b": F(1)}}
+        assert make_channel(sp, sp, rows) == identity_channel(sp)
+        with pytest.raises(SpaceMismatch):
+            make_channel(sp, sp, {"a": point_mass(Space("t", ("a", "b")), "a")})
+
 
 class TestProductAndMarginal:
     def test_barber_joint_weights(self, barber):

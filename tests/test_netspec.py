@@ -296,9 +296,79 @@ class TestParse:
                 "state p : s = { a: 1 }\nquery q = transform(p p)",
                 "4:23: error: expected ',', got 'p'",
             ),
+            (
+                "function f : s -> t = { a -> a, b -> u }",
+                "3:30: error: 'a' is not a codomain element",
+            ),
+            ("state p : s = { a: 1.5 }", "3:20: error: weight 1.5 lies outside [0, 1]"),
+            (
+                "channel c : s -> t = { a: { u: 1 }, b: { u: 3/2 } }",
+                "3:45: error: weight 3/2 lies outside [0, 1]",
+            ),
+            (
+                "channel c : s -> t = { a: { u: 1 }, b: { u: 1/2, u: 1/2 } }",
+                "3:50: error: element u listed twice",
+            ),
+            (
+                "state p : s * t = { (a,u): 1/2, (a,w): 1/2 }",
+                "3:33: error: 'a,w' is not an element here",
+            ),
+            ("space r = { a, b, a }", "3:7: error: space 'r' lists an element twice"),
         ],
     )
     def test_list_and_argument_diagnostics(self, declaration, diagnostic):
+        with pytest.raises(NetspecError) as err:
+            parse(f"space s = {{ a, b }}\nspace t = {{ u, v }}\n{declaration}\n")
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+    def test_a_rejected_declaration_defines_no_name(self):
+        with pytest.raises(NetspecError) as err:
+            parse(
+                "space s = { a, b }\nspace t = { u, v }\n"
+                "state p : s = { a: 1/2, b: 1/3 }\nquery q = p\n"
+            )
+        assert [str(d) for d in err.value.diagnostics] == [
+            "3:1: error: weights sum to 5/6, expected 1",
+            "4:11: error: unknown name 'p'",
+        ]
+
+    @pytest.mark.parametrize(
+        "declaration, diagnostic",
+        [
+            # the first syntax fault wins over any value fault before it
+            (
+                "state p : s = { c: 1/2, a: 1/2 b: 1/2 }",
+                "3:32: error: expected '}', got 'b'",
+            ),
+            (
+                "channel c : s -> t = { a: { u: 3/2 }, b: { u: 1 } c: { u: 1 } }",
+                "3:51: error: expected '}', got 'c'",
+            ),
+            # then unknown or repeated entries, in listing order
+            (
+                "state p : s = { a: 3/2, c: 1/2 }",
+                "3:25: error: 'c' is not an element here",
+            ),
+            # then a value outside [0, 1], in space order
+            (
+                "state p : s = { b: 3/2, a: 5/4 }",
+                "3:28: error: weight 5/4 lies outside [0, 1]",
+            ),
+            # then the sum, then a missing row
+            (
+                "channel c : s -> t = { a: { u: 1/2 } }",
+                "3:24: error: row a: weights sum to 1/2, expected 1",
+            ),
+            # a channel's rows are checked as each closes, before the row keys
+            (
+                "channel c : s -> t = { c: { u: 1 }, b: { u: 1/2 } }",
+                "3:37: error: row b: weights sum to 1/2, expected 1",
+            ),
+        ],
+    )
+    def test_a_declaration_with_several_faults_reports_one(
+        self, declaration, diagnostic
+    ):
         with pytest.raises(NetspecError) as err:
             parse(f"space s = {{ a, b }}\nspace t = {{ u, v }}\n{declaration}\n")
         assert [str(d) for d in err.value.diagnostics] == [diagnostic]

@@ -3,9 +3,22 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from softbayes import make_state, state_transform
-from softbayes.errors import ZeroMass
+from softbayes import (
+    Space,
+    State,
+    atc_update,
+    blend_update,
+    identity_channel,
+    lift_function,
+    make_state,
+    nec_update,
+    partition_jeffrey,
+    state_transform,
+)
+from softbayes.core import Channel
+from softbayes.errors import DegenerateEvent, EmptyBlockWithMass, ZeroMass
 from softbayes.oracle import (
     JointTable,
     joint_of,
@@ -125,3 +138,97 @@ class TestDaggerRowSharing:
             with pytest.raises(ZeroMass):
                 oracle_dagger_row(joint, "~t")
         assert oracle_dagger_row(joint, "t") == prior
+
+
+# -- the update forms the oracle has no rule for, reduced to ones it has ------
+
+NUMERATOR = st.one_of(st.just(0), st.integers(1, 20))  # about half are 0
+
+
+def _space(data, name: str, low: int = 1) -> Space:
+    size = data.draw(st.integers(low, 4))
+    return Space(name, tuple(f"{name}{i}" for i in range(size)))
+
+
+def _state(data, space: Space, numerator=NUMERATOR) -> State:
+    nums = data.draw(
+        st.lists(numerator, min_size=len(space), max_size=len(space)).filter(any)
+    )
+    return State(space, {x: F(n, sum(nums)) for x, n in zip(space, nums)})
+
+
+def _fraction(data) -> F:
+    den = data.draw(st.integers(1, 20))
+    return F(data.draw(st.integers(0, den)), den)
+
+
+def _event(data, space: Space) -> set:
+    return data.draw(st.sets(st.sampled_from(space.elements), min_size=1))
+
+
+LAWS = settings(max_examples=100, deadline=None)
+
+
+class TestUpdateFormsAgainstOracle:
+    """``atc``, ``nec``, ``partition_jeffrey`` and ``blend`` equal what the
+    oracle enumerates, exactly, on priors with zero weights; where the
+    kernel rejects an instance, the oracle finds no mass."""
+
+    @LAWS
+    @given(data=st.data())
+    def test_atc_is_jeffrey_on_the_two_block_function(self, data):
+        space = _space(data, "x")
+        omega, event, q = _state(data, space), _event(data, space), _fraction(data)
+        blocks = Space("blocks", ("in", "out"))
+        split = lift_function(
+            space, blocks, {x: "in" if x in event else "out" for x in space}
+        )
+        rho = make_state(blocks, {"in": q, "out": 1 - q})
+        try:
+            expected = oracle_jeffrey(joint_of(omega, split), rho)
+        except ZeroMass:
+            with pytest.raises(DegenerateEvent):
+                atc_update(omega, event, q)
+        else:
+            assert atc_update(omega, event, q) == expected
+
+    @LAWS
+    @given(data=st.data())
+    def test_nec_is_pearl_with_the_factor_predicate(self, data):
+        space = _space(data, "x")
+        omega, event = _state(data, space), _event(data, space)
+        k = F(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40)))
+        inside, outside = (F(1), 1 / k) if k >= 1 else (k, F(1))
+        q = {x: inside if x in event else outside for x in space}
+        expected = oracle_pearl(joint_of(omega, identity_channel(space)), q)
+        assert nec_update(omega, event, k) == expected
+
+    @LAWS
+    @given(data=st.data())
+    def test_partition_jeffrey_is_jeffrey_on_the_lifted_function(self, data):
+        space, blocks = _space(data, "x"), _space(data, "b")
+        block = st.sampled_from(blocks.elements)
+        f = lift_function(space, blocks, {x: data.draw(block) for x in space})
+        omega, rho = _state(data, space), _state(data, blocks)
+        try:
+            expected = oracle_jeffrey(joint_of(omega, f), rho)
+        except ZeroMass:
+            with pytest.raises(EmptyBlockWithMass):
+                partition_jeffrey(f, omega, rho)
+        else:
+            assert partition_jeffrey(f, omega, rho) == expected
+
+    @LAWS
+    @given(data=st.data())
+    def test_blend_of_oracle_posteriors_is_their_mixture(self, data):
+        """Rows of full support keep both posteriors defined."""
+        dom, cod = _space(data, "x"), _space(data, "y", low=2)
+        sigma = _state(data, dom)
+        rows = {x: _state(data, cod, st.integers(1, 20)) for x in dom}
+        joint = joint_of(sigma, Channel(dom, cod, rows))
+        jeffrey = oracle_jeffrey(joint, _state(data, cod))
+        q = {y: _fraction(data) for y in cod} | {cod.elements[0]: F(1)}
+        pearl = oracle_pearl(joint, q)
+        s = _fraction(data)
+        mixture = {x: s * jeffrey(x) + (1 - s) * pearl(x) for x in dom}
+        assert dict(blend_update(s, jeffrey, pearl).weights) == mixture
