@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import core, netspec, oracle, sampling, updates
-from .core import render_decimal, render_element, render_fraction, render_state
+from .core import render_decimal, render_fraction, render_state
 from .errors import NonBinaryEvidenceSpace, SoftbayesError, UnknownElement
 from .netspec import NetspecError
 
@@ -53,53 +53,35 @@ def _text(data: bytes) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _render_value(result: netspec.QueryResult, args, decimal=None) -> str:
-    value = result.value
-    if result.kind == netspec.STATE:
-        return render_state(value, show_zeros=args.show_zeros, decimal=decimal)
-    if result.kind == netspec.PRED:
+def _render(value, show_zeros=False, decimal=None) -> str:
+    """Exact text of a state, predicate, channel or scalar; with
+    ``decimal``, its decimal rendering instead."""
+    if isinstance(value, core.State):
+        return render_state(value, show_zeros=show_zeros, decimal=decimal)
+    if isinstance(value, core.Predicate):
         return core.render_predicate(value, decimal=decimal)
-    if result.kind == netspec.CHAN:
+    if isinstance(value, core.Channel):
         return core.render_channel(value, decimal=decimal)
     return render_decimal(value, decimal) if decimal else render_fraction(value)
 
 
-def _print_report(report: updates.UpdateReport) -> None:
+def _print_working(result: netspec.QueryResult) -> None:
     """Step-by-step working in exact fractions, one `#` line per step."""
-    print(f"# rule: {report.rule}")
-    print(f"# prior: {render_state(report.prior)}")
-    inter = report.intermediate
-    if "transformed_predicate" in inter:
-        print(
-            "# transformed predicate: "
-            f"{core.render_predicate(inter['transformed_predicate'])}"
-        )
-        print(f"# validity: {render_fraction(inter['validity'])}")
-    if "inverted_rows" in inter:
-        print(f"# prediction: {render_state(inter['prediction'])}")
-        for y, row in inter["inverted_rows"].items():
-            print(f"# inverted row {render_element(y)}: {render_state(row)}")
-    if "equivalent_predicate" in inter:
-        print(
-            "# equivalent predicate: "
-            f"{core.render_predicate(inter['equivalent_predicate'])}"
-        )
-    if "event_prior_mass" in inter:
-        print(f"# event prior mass: {render_fraction(inter['event_prior_mass'])}")
-    if "novelty" in inter:
-        print(f"# novelty s: {render_fraction(inter['novelty'])}")
-        print(f"# jeffrey part: {render_state(inter['jeffrey_part'])}")
-        print(f"# pearl part: {render_state(inter['pearl_part'])}")
+    steps = result.working()
+    if steps:
+        print(f"# rule: {result.op}")
+    for label, value in steps:
+        print(f"# {label}: {_render(value)}")
 
 
 def cmd_eval(args) -> int:
     env = _load_file(args.file)
     result = netspec.evaluate(env, args.query)
-    if args.explain and result.report is not None:
-        _print_report(result.report)
-    print(_render_value(result, args))
+    if args.explain:
+        _print_working(result)
+    print(_render(result.value, args.show_zeros))
     if args.decimal:  # exact fractions stay primary; decimals are added
-        print(_render_value(result, args, decimal=args.decimal))
+        print(_render(result.value, args.show_zeros, args.decimal))
     return EXIT_OK
 
 
@@ -134,7 +116,7 @@ def cmd_sweep(args) -> int:
     # where the prediction has weight, and blend twice per step.  Jeffrey's
     # inversion is relaxed: it needs d1 only when r > 0 and d2 only when r < 1,
     # so at an endpoint both rules collapse to conditioning on that point.
-    w, rows, predicted, _ = updates._prediction(channel, prior)
+    w, rows, predicted = updates._prediction(channel, prior)
     supported = [j for j, t in enumerate(predicted) if t]
     inverted = updates._inverted_rows(channel, w, rows, predicted, supported)
     # where the prediction misses y there is no row y, and any step that

@@ -382,8 +382,9 @@ class Channel:
     )
 
     def __post_init__(self):
-        for x in self.rows:
-            self.domain.require(x)
+        if not self.domain._members.issuperset(self.rows):
+            for x in self.rows:  # only to find the first unknown key
+                self.domain.require(x)
         for x in self.domain.elements:
             row = self.rows.get(x)
             if row is None:

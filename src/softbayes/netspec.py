@@ -273,10 +273,11 @@ class Operation:
     """A query operation, defined once for the parser, checker and evaluator.
 
     ``args`` are the argument kinds the parser reads and ``space`` is the
-    static space rule.  ``kernel`` computes the value and ``report``, for
-    the update rules, the value with its working for ``--explain``.  Both
-    name functions of ``module`` and are looked up at each call, so a
-    module function replaced at run time (by a tracer, say) is the one used.
+    static space rule.  ``kernel`` computes the value from the arguments
+    and ``report``, for the update rules, the working ``--explain`` prints
+    from the same arguments: (label, value) steps.  Both name functions of
+    ``module`` and are looked up at each call, so a module function
+    replaced at run time (by a tracer, say) is the one used.
     """
 
     args: tuple[str, ...]
@@ -284,6 +285,10 @@ class Operation:
     module: ModuleType
     kernel: str
     report: Optional[str] = None
+
+    def run(self, args):
+        """The operation's value: its kernel applied to the argument values."""
+        return getattr(self.module, self.kernel)(*args)
 
 
 OPERATIONS: dict[str, Operation] = {
@@ -991,18 +996,22 @@ def check_expr(
 
 @dataclass(frozen=True)
 class QueryResult:
-    """An evaluated query: the value, its kind, and how it was produced.
-
-    ``expression`` is the provenance (the query's source expression, or
-    the bare declaration name); ``report`` carries the rule and inputs
-    when the top-level operation was one of the update rules.
-    """
+    """An evaluated query: the value and its kind, and, when the query is
+    a call, the operation's name and the argument values it ran on."""
 
     name: str
     kind: str  # state | predicate | channel | scalar
     value: object
-    expression: str = ""
-    report: Optional[updates.UpdateReport] = None
+    op: Optional[str] = None
+    args: tuple = ()
+
+    def working(self) -> tuple:
+        """The operation's working as (label, value) steps, computed now
+        from the argument values; () when the operation reports none."""
+        op = OPERATIONS.get(self.op)
+        if op is None or op.report is None:
+            return ()
+        return getattr(op.module, op.report)(*self.args)
 
 
 def evaluate(env: Environment, name: str) -> QueryResult:
@@ -1010,28 +1019,25 @@ def evaluate(env: Environment, name: str) -> QueryResult:
 
     The name means what it would mean inside a query declared last: the
     query of that name, else the state, channel (or function), or
-    predicate.  The result carries an UpdateReport when the query's
-    top-level operation is one of the update rules.  Each query it
-    references is evaluated once, however often it is used, and a chain
-    of query references may be of any length; nothing is kept between
-    calls.
+    predicate.  A query that is a call evaluates its arguments and then
+    runs its operation's kernel, as a nested call does; the result keeps
+    the arguments, so ``QueryResult.working`` can show the working.  Each
+    query it references is evaluated once, however often it is used, and
+    a chain of query references may be of any length; nothing is kept
+    between calls.
     """
     found = _resolve(env, name)
     if found is None:
         raise SpaceMismatch(f"no query or declaration named {name!r}")
     kind, _info, target = found
     if not isinstance(target, CompiledQuery):
-        return QueryResult(name, kind, target, name)
-    bound, report = target.bound, None
-    op = OPERATIONS[bound.op] if isinstance(bound, Call) else None
-    if op is not None and op.report:  # the same posterior, with its working
-        memo: dict = {}
-        args = [_eval_expr(arg, memo) for arg in bound.args]
-        report = getattr(op.module, op.report)(*args)
-        value = report.posterior
-    else:
-        value = _eval_expr(bound)
-    return QueryResult(name, kind, value, render_expr(target.decl.expr), report)
+        return QueryResult(name, kind, target)
+    bound = target.bound
+    if not isinstance(bound, Call):  # the query names another value
+        return QueryResult(name, kind, _eval_expr(bound))
+    memo: dict = {}
+    args = tuple(_eval_expr(arg, memo) for arg in bound.args)
+    return QueryResult(name, kind, OPERATIONS[bound.op].run(args), bound.op, args)
 
 
 def _eval_expr(bound, memo: Optional[dict] = None):
@@ -1062,11 +1068,10 @@ def _eval_expr(bound, memo: Optional[dict] = None):
         elif not isinstance(node, Call):
             values.append(node)
         elif ready:
-            op = OPERATIONS[node.op]
             start = len(values) - len(node.args)
             args = values[start:]
             del values[start:]
-            values.append(getattr(op.module, op.kernel)(*args))
+            values.append(OPERATIONS[node.op].run(args))
         else:
             todo.append((node, True))
             todo += ((arg, False) for arg in reversed(node.args))

@@ -27,11 +27,10 @@ types throughout; the conversions are explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import core
 from .core import (
@@ -73,7 +72,7 @@ def dagger(c: Channel, sigma: State) -> Channel:
     the predicted state c >> sigma to have full support; raises
     NotFullSupport naming the first offending element otherwise.
     """
-    w, rows, predicted, _ = _prediction(c, sigma)
+    w, rows, predicted = _prediction(c, sigma)
     return Channel(
         c.codomain,
         c.domain,
@@ -82,11 +81,11 @@ def dagger(c: Channel, sigma: State) -> Channel:
 
 
 def _prediction(c: Channel, sigma: State):
-    """The integer joint (w, rows, den) and the prediction's numerators,
+    """The integer joint (w, rows) and the prediction's numerators,
     computed once for everything an inversion needs."""
     core._require_same_space(sigma.space, c.domain, "inversion")
-    w, rows, den = core._joint(c, sigma)
-    return w, rows, core._predicted(w, rows), den
+    w, rows, _ = core._joint(c, sigma)
+    return w, rows, core._predicted(w, rows)
 
 
 def _require_support(c: Channel, predicted: list[int], needed: Sequence[int]) -> None:
@@ -115,14 +114,6 @@ def _inverted_rows(
     }
 
 
-def _evidence_indices(rho: State, relaxed: bool) -> Sequence[int]:
-    """Where the inversion must exist: everywhere, or (relaxed) only where
-    the evidence has weight."""
-    if relaxed:
-        return [j for j, k in enumerate(rho._nums) if k]
-    return range(len(rho._nums))
-
-
 # ---------------------------------------------------------------------------
 # the two update rules
 
@@ -147,28 +138,20 @@ def jeffrey_update(
     With ``relaxed=True`` the inversion is computed only at elements
     where rho has positive weight, so the prediction c >> sigma may have
     support gaps as long as the evidence avoids them.
-    """
-    core._require_same_space(rho.space, c.codomain, "Jeffrey update")
-    w, rows, predicted, _ = _prediction(c, sigma)
-    return _jeffrey_posterior(
-        c, w, rows, predicted, rho, _evidence_indices(rho, relaxed)
-    )
 
-
-def _jeffrey_posterior(
-    c: Channel, w: list[int], rows, predicted: list[int], rho: State,
-    needed: Sequence[int],
-) -> State:
-    """Jeffrey's rule through its translation to Pearl's rule.
-
-    The posterior is sigma conditioned on c << (rho / tau), tau = c >> sigma
-    (the ratio predicate; Chan & Darwiche's virtual evidence).  In integers,
-    with T = predicted and D the lcm of T[y] where rho has weight, the ratio
+    Computed through the translation to Pearl's rule: the posterior is
+    sigma conditioned on c << (rho / tau), tau = c >> sigma (the ratio
+    predicate; Chan & Darwiche's virtual evidence).  In integers, with
+    T = predicted and D the lcm of T[y] where rho has weight, the ratio
     predicate is r_y * D / T[y] and the weight at x is
     w[x] * sum_y rows[x][y] * r_y * D / T[y], over R * D exactly.
     """
-    _require_support(c, predicted, needed)
+    core._require_same_space(rho.space, c.codomain, "Jeffrey update")
+    w, rows, predicted = _prediction(c, sigma)
     r = rho._nums
+    _require_support(
+        c, predicted, [j for j, k in enumerate(r) if k] if relaxed else range(len(r))
+    )
     big = lcm(*(t for k, t in zip(r, predicted) if k))
     ratio = [k * (big // t) if k else 0 for k, t in zip(r, predicted)]
     return State._from_integers(
@@ -228,47 +211,28 @@ def state_to_predicate_ratio(rho: State, tau: State) -> Predicate:
 # partition / event forms
 
 
-def partition_blocks(f: Channel) -> dict[Element, tuple[Element, ...]]:
-    """The partition induced by a deterministic channel: i -> f^{-1}(i)."""
+def partition_jeffrey(f: Channel, omega: State, rho: State) -> State:
+    """Jeffrey's rule along a deterministic channel, by block conditioning.
+
+    The posterior sum_i rho(i) * omega|_(1_{U_i}) over the blocks
+    U_i = f^{-1}(i) is ``jeffrey_update(omega, f, rho, relaxed=True)``, and
+    is computed so: for a deterministic f the inverted row at i is omega
+    conditioned on U_i, and the prediction at i is the prior mass of U_i.
+    """
+    core._require_same_space(omega.space, f.domain, "partition update")
+    core._require_same_space(rho.space, f.codomain, "partition update")
     if not f.is_deterministic:
         raise NotDeterministic(
             "partition update needs a deterministic channel (all rows point masses)"
         )
-    blocks: dict[Element, list[Element]] = {i: [] for i in f.codomain.elements}
-    for x in f.domain.elements:
-        image = next(y for y, w in f.rows[x].weights.items() if w == 1)
-        blocks[image].append(x)
-    return {i: tuple(xs) for i, xs in blocks.items()}
-
-
-def partition_jeffrey(f: Channel, omega: State, rho: State) -> State:
-    """Jeffrey's rule along a deterministic channel, by block conditioning.
-
-    Computes sum_i rho(i) * omega|_(1_{U_i}) over the blocks U_i = f^{-1}(i).
-    Agrees exactly with ``jeffrey_update(omega, f, rho, relaxed=True)``;
-    stated separately because the block form needs no inversion machinery.
-    In integers, with M_i the prior numerator mass of block i and D the lcm
-    of M_i where rho has weight, x in U_i gets a_x * r_i * D / M_i over R * D.
-    """
-    core._require_same_space(omega.space, f.domain, "partition update")
-    core._require_same_space(rho.space, f.codomain, "partition update")
-    blocks = partition_blocks(f)
-    prior = dict(zip(omega.space.elements, omega._nums))
-    evidence = dict(zip(rho.space.elements, rho._nums))
-    mass = {i: sum(prior[x] for x in xs) for i, xs in blocks.items()}
-    for i, r in evidence.items():
-        if r and mass[i] == 0:
-            raise EmptyBlockWithMass(
-                f"evidence gives mass {rho.weights[i]} to block "
-                f"{render_element(i)} whose prior mass is 0"
-            )
-    big = lcm(*(mass[i] for i, r in evidence.items() if r))
-    nums = dict.fromkeys(omega.space.elements, 0)
-    for i, xs in blocks.items():
-        share = evidence[i] * (big // mass[i]) if evidence[i] else 0
-        for x in xs:
-            nums[x] = prior[x] * share
-    return State._from_integers(omega.space, list(nums.values()), rho._den * big)
+    try:
+        return jeffrey_update(omega, f, rho, relaxed=True)
+    except NotFullSupport as exc:
+        i = exc.element
+        raise EmptyBlockWithMass(
+            f"evidence gives mass {rho.weights[i]} to block "
+            f"{render_element(i)} whose prior mass is 0"
+        ) from None
 
 
 def _event_masses(
@@ -362,88 +326,59 @@ def total_variation(sigma: State, other: State) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# update reports (for tooling/explain output)
+# working (for --explain output)
+#
+# Each rule's working is a function of the rule's own arguments, computed
+# only when asked for, after the rule's kernel has produced the posterior:
+# (label, value) steps in display order, the prior first.
 
 
-@dataclass(frozen=True)
-class UpdateReport:
-    """A posterior together with how it was obtained.
-
-    The posterior comes from the same kernel a nested update uses.
-    ``intermediate`` carries the working shown in step-by-step displays:
-    the transformed predicate and its validity for Pearl-style updates,
-    the inverted channel for Jeffrey-style ones.
-    """
-
-    rule: str  # jeffrey | pearl | atc | nec | blend
-    prior: State
-    posterior: State
-    intermediate: Mapping[str, object]
-
-
-def pearl_report(sigma: State, c: Channel, q: Predicate) -> UpdateReport:
-    posterior = pearl_update(sigma, c, q)
+def pearl_report(sigma: State, c: Channel, q: Predicate) -> tuple:
+    """The transformed predicate c << q and its validity in the prior."""
     transformed = predicate_transform(c, q)
-    return UpdateReport(
-        rule="pearl",
-        prior=sigma,
-        posterior=posterior,
-        intermediate={
-            "transformed_predicate": transformed,
-            "validity": validity(sigma, transformed),
-        },
+    return (
+        ("prior", sigma),
+        ("transformed predicate", transformed),
+        ("validity", validity(sigma, transformed)),
     )
 
 
-def jeffrey_report(
-    sigma: State, c: Channel, rho: State, *, relaxed: bool = False
-) -> UpdateReport:
-    core._require_same_space(rho.space, c.codomain, "Jeffrey update")
-    w, rows, predicted, den = _prediction(c, sigma)
-    needed = _evidence_indices(rho, relaxed)
-    return UpdateReport(
-        rule="jeffrey",
-        prior=sigma,
-        posterior=_jeffrey_posterior(c, w, rows, predicted, rho, needed),
-        intermediate={
-            "inverted_rows": _inverted_rows(c, w, rows, predicted, needed),
-            "prediction": State._from_integers(c.codomain, predicted, den),
-        },
+def jeffrey_report(sigma: State, c: Channel, rho: State) -> tuple:
+    """The prediction c >> sigma and each row of the inverted channel."""
+    rows = dagger(c, sigma).rows
+    return (
+        ("prior", sigma),
+        ("prediction", state_transform(c, sigma)),
+        *((f"inverted row {render_element(y)}", row) for y, row in rows.items()),
     )
 
 
-def atc_report(omega: State, event: Iterable[Element], strength) -> UpdateReport:
+def atc_report(omega: State, event: Iterable[Element], strength) -> tuple:
+    """The event's prior mass."""
+    return (
+        ("prior", omega),
+        ("event prior mass", validity(omega, indicator(omega.space, event))),
+    )
+
+
+def nec_report(omega: State, event: Iterable[Element], factor) -> tuple:
+    """The two-valued predicate {E: 1, not-E: 1/k} Pearl's rule would take,
+    scaled into [0, 1] as {E: k, not-E: 1} when k < 1."""
     members = frozenset(event)
-    return UpdateReport(
-        rule="atc",
-        prior=omega,
-        posterior=atc_update(omega, members, strength),
-        intermediate={
-            "event_prior_mass": validity(omega, indicator(omega.space, members))
-        },
-    )
-
-
-def nec_report(omega: State, event: Iterable[Element], factor) -> UpdateReport:
-    members = frozenset(event)
-    posterior = nec_update(omega, members, factor)
     k = as_fraction(factor)
-    eq_values = {
-        x: (ONE if x in members else ONE / k) if k >= 1 else (k if x in members else ONE)
-        for x in omega.space.elements
-    }
-    return UpdateReport(
-        rule="nec",
-        prior=omega,
-        posterior=posterior,
-        intermediate={"equivalent_predicate": Predicate(omega.space, eq_values)},
+    inside, outside = (ONE, ONE / k) if k >= 1 else (k, ONE)
+    equivalent = Predicate(
+        omega.space,
+        {x: inside if x in members else outside for x in omega.space.elements},
     )
+    return (("prior", omega), ("equivalent predicate", equivalent))
 
 
-def blend_report(s, jr: State, pr: State) -> UpdateReport:
-    return UpdateReport(
-        rule="blend",
-        prior=pr,
-        posterior=blend_update(s, jr, pr),
-        intermediate={"jeffrey_part": jr, "pearl_part": pr, "novelty": as_fraction(s)},
+def blend_report(s, jr: State, pr: State) -> tuple:
+    """The weight s and both parts; the Pearl part stands as the prior."""
+    return (
+        ("prior", pr),
+        ("novelty s", as_fraction(s)),
+        ("jeffrey part", jr),
+        ("pearl part", pr),
     )

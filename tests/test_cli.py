@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from softbayes.cli import build_parser, main
+from softbayes import netspec, updates
+from softbayes.cli import build_parser, corpus_names, corpus_source, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "softbayes" / "corpus"
@@ -77,6 +78,29 @@ class TestEval:
         code, out, _ = run(capsys, "eval", disease_file, "predicted", "--explain")
         assert code == 0
         assert out.strip() == "117/2000|t> + 1883/2000|~t>"
+
+    def test_working_is_computed_only_for_explain(self, capsys, monkeypatch):
+        """Plain eval of each top-level update query in the corpus calls no
+        report; --explain calls the one its rule names."""
+        def refuse(*args):
+            raise AssertionError("working computed without --explain")
+
+        for op in netspec.OPERATIONS.values():
+            if op.report:
+                monkeypatch.setattr(updates, op.report, refuse)
+        rules = set()
+        for file in corpus_names():
+            env = netspec.load(corpus_source(file))
+            for name, query in env.queries.items():
+                op = getattr(query.bound, "op", None)
+                if op is None or netspec.OPERATIONS[op].report is None:
+                    continue
+                rules.add(op)
+                code, out, err = run(capsys, "eval", str(CORPUS / file), name)
+                assert (code, err) == (0, "") and out
+                with pytest.raises(AssertionError, match="without --explain"):
+                    main(["eval", str(CORPUS / file), name, "--explain"])
+        assert rules == {"pearl", "jeffrey", "atc", "nec", "blend"}
 
     def test_show_zeros(self, capsys, tmp_path):
         f = tmp_path / "z.netspec"

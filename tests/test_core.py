@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from softbayes import (
+    Channel,
     Predicate,
     Space,
     State,
@@ -33,6 +34,8 @@ from softbayes import (
     uniform_state,
     validity,
 )
+from softbayes import netspec
+from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import (
     DuplicateElement,
     MissingRow,
@@ -383,6 +386,29 @@ class TestStructuredErrors:
         assert err.value.element == element
         if error is UnknownElement:
             assert err.value.space is self.SP
+
+    def test_channel_does_not_require_row_keys_again(self, monkeypatch):
+        """make_channel and lift_function require each row key; the channel
+        then tests its keys in one subset test and requires none again."""
+        require, callers = Space.require, []
+
+        def traced(space, element):
+            callers.append(sys._getframe(1).f_code)
+            return require(space, element)
+
+        monkeypatch.setattr(Space, "require", traced)
+        for name in corpus_names():
+            netspec.load(corpus_source(name))
+        assert callers
+        assert Channel.__post_init__.__code__ not in callers
+
+    def test_channel_names_an_unknown_row_key(self):
+        sp = self.SP
+        rows = {"a": point_mass(sp, "a"), "zz": point_mass(sp, "b"), "b": point_mass(sp, "b")}
+        with pytest.raises(UnknownElement) as err:
+            Channel(sp, sp, rows)
+        assert err.value.element == "zz" and err.value.space is sp
+        assert str(err.value) == "'zz' is not an element of space 's'"
 
     def test_channel_rows_may_be_built_states(self):
         sp = self.SP

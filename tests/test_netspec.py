@@ -484,7 +484,7 @@ class TestCompileAndEvaluate:
         for name, value in expected.items():
             assert evaluate(env, name).value == value
             assert evaluate(env, f"{name}_nested").value == value
-        assert evaluate(env, "a").report.intermediate["event_prior_mass"] == 1
+        assert dict(evaluate(env, "a").working())["event prior mass"] == 1
 
     def test_reference_chain_of_600_links_evaluates(self):
         source = DISEASE_MINIMAL + (
@@ -583,9 +583,20 @@ class TestCompileAndEvaluate:
 
     def test_update_queries_carry_reports(self):
         env = load(corpus_source("disease.netspec"))
-        assert evaluate(env, "pearl_posterior").report.rule == "pearl"
-        assert evaluate(env, "jeffrey_posterior").report.rule == "jeffrey"
-        assert evaluate(env, "predicted").report is None
+        assert evaluate(env, "pearl_posterior").op == "pearl"
+        assert evaluate(env, "jeffrey_posterior").op == "jeffrey"
+        assert evaluate(env, "predicted").working() == ()
+
+    def test_top_level_jeffrey_runs_its_kernel_once(self, monkeypatch):
+        """A top-level update goes through the kernel a nested one uses,
+        once, and its working calls the kernel no more."""
+        env = load(corpus_source("disease.netspec"))
+        calls = self.count_calls(monkeypatch, updates, "jeffrey_update")
+        result = evaluate(env, "jeffrey_posterior")
+        assert len(calls) == 1
+        assert result.value("d") == F(3018, 24479)
+        assert dict(result.working())["inverted row t"]("d") == F(18, 117)
+        assert len(calls) == 1
 
 
 class TestStaticSpaceCheck:

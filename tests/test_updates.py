@@ -441,36 +441,45 @@ class TestCommittedCounterexamples:
 
 
 class TestEvidenceAndReports:
+    """Each report is the rule's working, from the rule's own arguments:
+    (label, value) steps, the prior first."""
+
     def test_pearl_report_carries_working(self, disease):
         _, test_sp, _, prior, sens, _ = disease
         q = make_predicate(test_sp, {"t": F(8, 10), "~t": F(2, 10)})
-        report = pearl_report(prior, sens, q)
-        assert report.rule == "pearl"
-        assert report.posterior == pearl_update(prior, sens, q)
-        assert report.intermediate["transformed_predicate"] == predicate_transform(
-            sens, q
-        )
-        assert report.intermediate["validity"] == F(2351, 10000)
+        steps = pearl_report(prior, sens, q)
+        assert [label for label, _ in steps] == [
+            "prior", "transformed predicate", "validity"
+        ]
+        working = dict(steps)
+        assert working["prior"] == prior
+        assert working["transformed predicate"] == predicate_transform(sens, q)
+        assert working["validity"] == F(2351, 10000)
 
     def test_jeffrey_report_carries_inversion(self, disease):
         _, test_sp, _, prior, sens, _ = disease
         rho = make_state(test_sp, {"t": F(8, 10), "~t": F(2, 10)})
-        report = jeffrey_report(prior, sens, rho)
-        assert report.rule == "jeffrey"
-        assert report.intermediate["inverted_rows"]["t"]("d") == F(18, 117)
+        steps = jeffrey_report(prior, sens, rho)
+        assert [label for label, _ in steps] == [
+            "prior", "prediction", "inverted row t", "inverted row ~t"
+        ]
+        working = dict(steps)
+        assert working["prediction"] == state_transform(sens, prior)
+        assert working["inverted row t"]("d") == F(18, 117)
 
     def test_event_reports(self, halpern):
         color, _, prior, _ = halpern
-        atc = atc_report(prior, {"b", "g"}, F(7, 10))
-        assert atc.rule == "atc" and atc.posterior("r") == F(1, 10)
-        nec = nec_report(prior, {"b", "g"}, F(4))
-        assert nec.rule == "nec"
-        assert nec.intermediate["equivalent_predicate"]("r") == F(1, 4)
+        assert atc_update(prior, {"b", "g"}, F(7, 10))("r") == F(1, 10)
+        atc = dict(atc_report(prior, {"b", "g"}, F(7, 10)))
+        assert atc == {"prior": prior, "event prior mass": F(2, 5)}
+        nec = dict(nec_report(prior, {"b", "g"}, F(4)))
+        assert nec["prior"] == prior
+        assert nec["equivalent predicate"]("r") == F(1, 4)
 
     def test_blend_report(self, disease):
         _, test_sp, _, prior, sens, _ = disease
         jr = jeffrey_update(prior, sens, make_state(test_sp, {"t": F(8, 10), "~t": F(2, 10)}))
         pr = pearl_update(prior, sens, make_predicate(test_sp, {"t": F(8, 10), "~t": F(2, 10)}))
-        report = blend_report(F(1, 2), jr, pr)
-        assert report.rule == "blend"
-        assert report.posterior == blend_update(F(1, 2), jr, pr)
+        assert blend_report(F(1, 2), jr, pr) == (
+            ("prior", pr), ("novelty s", F(1, 2)), ("jeffrey part", jr), ("pearl part", pr)
+        )
