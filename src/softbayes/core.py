@@ -20,13 +20,14 @@ Representation: ``Fraction`` at the API, integers inside.  ``weights`` and
 ``values`` are read-only maps of reduced fractions, but every state and
 predicate also carries its integer form, one numerator per element in space
 order over one shared denominator (the lcm of the fractions' denominators,
-so the form is canonical).  A channel lazily puts its rows over one common
-denominator.  The kernels multiply and add these integers and reduce to
-fractions once per result, rather than normalising a ``Fraction`` after
-every operation.  There is one validation layer, ``_check_numerators``, on
-the integer form: the public constructors put their fractions over the lcm
-and call it, and the kernels' results pass through it by way of the private
-``State._from_integers`` / ``Predicate._from_integers``.
+so the form is canonical, and equality compares it).  A channel lazily puts
+its rows over one common denominator.  The kernels multiply and add these
+integers and reduce to fractions once per result, rather than normalising a
+``Fraction`` after every operation.  There is one validation layer,
+``_check_numerators``, on the integer form: the public constructors put
+their fractions over the lcm and call it, and the kernels' results pass
+through it by way of the private ``State._from_integers`` /
+``Predicate._from_integers``.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def product_space(left: Space, right: Space) -> ProductSpace:
 
 
 def _require_same_space(a: Space, b: Space, what: str) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise SpaceMismatch(f"{what}: space {a.name!r} is not space {b.name!r}")
 
 
@@ -154,14 +155,16 @@ def _check_numerators(
     """The one validation of a state or predicate, on its integer form.
 
     Every nums[i] / den must lie in [0, 1]; for a state the numerators
-    must also sum to den.
+    must also sum to den.  The elements are walked only to name a fault.
     """
-    for x, k in zip(space.elements, nums):
-        if k < 0 or k > den:
-            raise ValueOutOfRange(
-                f"{what} {Fraction(k, den)} at {render_element(x)} lies outside [0, 1]",
-                element=x,
-            )
+    if min(nums) < 0 or max(nums) > den:
+        for x, k in zip(space.elements, nums):
+            if k < 0 or k > den:
+                raise ValueOutOfRange(
+                    f"{what} {Fraction(k, den)} at {render_element(x)} "
+                    "lies outside [0, 1]",
+                    element=x,
+                )
     if is_state:
         total = sum(nums)
         if total != den:
@@ -202,12 +205,24 @@ def _from_checked(
     if g != 1:
         nums, den = [k // g for k in nums], den // g
     value = object.__new__(cls)
-    object.__setattr__(value, "space", space)
     entries = {x: Fraction(k, den) if k else ZERO for x, k in zip(space.elements, nums)}
-    object.__setattr__(value, entries_attr, MappingProxyType(entries))
-    object.__setattr__(value, "_nums", tuple(nums))
-    object.__setattr__(value, "_den", den)
+    value.__dict__.update(
+        {
+            "space": space,
+            entries_attr: MappingProxyType(entries),
+            "_nums": tuple(nums),
+            "_den": den,
+        }
+    )
     return value
+
+
+def _same_integer_form(a, b):
+    """Equality of states or predicates on their canonical integer form,
+    which agrees with comparing the fraction maps."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._den, a._nums, a.space) == (b._den, b._nums, b.space)
 
 
 @dataclass(frozen=True)
@@ -222,6 +237,8 @@ class State:
 
     def __post_init__(self):
         _checked_init(self, "weights", "weight", is_state=True)
+
+    __eq__ = _same_integer_form
 
     @classmethod
     def _from_integers(cls, space: Space, nums: Sequence[int], den: int) -> State:
@@ -262,6 +279,8 @@ class Predicate:
 
     def __post_init__(self):
         _checked_init(self, "values", "value", is_state=False)
+
+    __eq__ = _same_integer_form
 
     @classmethod
     def _from_integers(cls, space: Space, nums: Sequence[int], den: int) -> Predicate:

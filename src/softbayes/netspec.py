@@ -1021,7 +1021,9 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     query of that name, else the state, channel (or function), or
     predicate.  A query that is a call evaluates its arguments and then
     runs its operation's kernel, as a nested call does; the result keeps
-    the arguments, so ``QueryResult.working`` can show the working.  Each
+    the arguments, so ``QueryResult.working`` can show the working.  A
+    query that only names another query (an alias, or a chain of them)
+    keeps the working of the call at the chain's end.  Each
     query it references is evaluated once, however often it is used, and
     a chain of query references may be of any length; nothing is kept
     between calls.
@@ -1033,6 +1035,8 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     if not isinstance(target, CompiledQuery):
         return QueryResult(name, kind, target)
     bound = target.bound
+    while isinstance(bound, CompiledQuery):  # an alias: follow it to its value
+        bound = bound.bound
     if not isinstance(bound, Call):  # the query names another value
         return QueryResult(name, kind, _eval_expr(bound))
     memo: dict = {}

@@ -6,8 +6,10 @@ renormalising, and summing raw rationals.  None of the transformation
 operators from the main library are used — that independence is the
 point, since test suites compare both routes for exact equality.
 
-Deliberately unoptimised, apart from keeping each conditioned row on its
-table; tables are tiny in every intended use.
+An inverted-channel row is the joint conditioned on the point evidence
+1_y, which is column y renormalised, so it is computed from that column
+alone and kept on its table.  Otherwise deliberately unoptimised; tables
+are tiny in every intended use.
 """
 
 from __future__ import annotations
@@ -34,10 +36,16 @@ class JointTable:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # one subset test per axis; only when one fails are the cells walked
+        # for membership, so the first faulty cell still decides the error
+        known = self.domain._members.issuperset(
+            [x for x, _ in self.mass]
+        ) and self.codomain._members.issuperset([y for _, y in self.mass])
         total = ZERO
         for (x, y), m in self.mass.items():
-            self.domain.require(x)
-            self.codomain.require(y)
+            if not known:
+                self.domain.require(x)
+                self.codomain.require(y)
             if m < 0:
                 raise ZeroMass(f"negative mass at ({x}, {y})")
             total += m
@@ -95,7 +103,8 @@ def oracle_pearl(joint: JointTable, q_values: Mapping[Element, Fraction]) -> Sta
 
 
 def oracle_dagger_row(joint: JointTable, y: Element) -> State:
-    """The inverted-channel row at y: condition on the point evidence 1_y.
+    """The inverted-channel row at y: the joint conditioned on the point
+    evidence 1_y, which is column y renormalised.
 
     Each row is computed once per table and kept, so Jeffrey's rule and a
     row-by-row comparison share it; a row with no mass is never kept.
@@ -103,10 +112,13 @@ def oracle_dagger_row(joint: JointTable, y: Element) -> State:
     row = joint._rows.get(y)
     if row is None:
         joint.codomain.require(y)
-        weight = {
-            (x, y2): Fraction(1) if y2 == y else ZERO for (x, y2) in joint.mass
-        }
-        row = joint._rows[y] = x_marginal(oracle_condition(joint, weight))
+        column = {x: joint.mass[x, y] for x in joint.domain.elements}
+        total = sum(column.values(), ZERO)
+        if total == 0:
+            raise ZeroMass("weighted joint table has total mass 0")
+        row = joint._rows[y] = State(
+            joint.domain, {x: m / total for x, m in column.items()}
+        )
     return row
 
 

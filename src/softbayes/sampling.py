@@ -32,9 +32,7 @@ def random_state(
         total = sum(numerators)
         if total > 0:
             break
-    return State(
-        space, {x: Fraction(n, total) for x, n in zip(space.elements, numerators)}
-    )
+    return State._from_integers(space, numerators, total)
 
 
 def random_predicate(

@@ -305,10 +305,10 @@ def nec_update(omega: State, event: Iterable[Element], factor) -> State:
 def blend_update(s, jr: State, pr: State) -> State:
     """Convex mix s*JR + (1-s)*PR of a Jeffrey and a Pearl posterior."""
     s = as_fraction(s)
-    if s < 0 or s > 1:
+    m, n = s.numerator, s.denominator
+    if m < 0 or m > n:
         raise ValueOutOfRange(f"blend weight {s} lies outside [0, 1]")
     core._require_same_space(jr.space, pr.space, "blend")
-    m, n = s.numerator, s.denominator
     jw, pw = m * pr._den, (n - m) * jr._den
     return State._from_integers(
         jr.space,

@@ -79,6 +79,30 @@ class TestEval:
         assert code == 0
         assert out.strip() == "117/2000|t> + 1883/2000|~t>"
 
+    @pytest.fixture
+    def alias_file(self, tmp_path):
+        f = tmp_path / "alias.netspec"
+        f.write_text(
+            (CORPUS / "disease.netspec").read_text(encoding="utf-8")
+            + "query a = jeffrey_posterior\nquery b = a\nquery c = prior\n",
+            encoding="utf-8",
+        )
+        return str(f)
+
+    @pytest.mark.parametrize("alias", ["a", "b"])
+    def test_alias_explains_like_its_target(self, capsys, alias_file, alias):
+        """A query that only names an update query, directly or through
+        another alias, prints the same working as the update query."""
+        target = run(capsys, "eval", alias_file, "jeffrey_posterior", "--explain")
+        code, out, err = run(capsys, "eval", alias_file, alias, "--explain")
+        assert (code, out, err) == target
+        assert "# inverted row t: 2/13|d> + 11/13|~d>" in out
+
+    def test_alias_of_state_explains_value_only(self, capsys, alias_file):
+        code, out, _ = run(capsys, "eval", alias_file, "c", "--explain")
+        assert code == 0
+        assert out == "1/100|d> + 99/100|~d>\n"
+
     def test_working_is_computed_only_for_explain(self, capsys, monkeypatch):
         """Plain eval of each top-level update query in the corpus calls no
         report; --explain calls the one its rule names."""

@@ -1,5 +1,6 @@
 """Core value types and the transformation calculus, against worked values."""
 
+import random
 import sys
 from fractions import Fraction as F
 
@@ -34,7 +35,7 @@ from softbayes import (
     uniform_state,
     validity,
 )
-from softbayes import netspec
+from softbayes import netspec, sampling
 from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import (
     DuplicateElement,
@@ -172,6 +173,83 @@ class TestIntegerForm:
         pred = Predicate._from_integers(self.SP, [2, 0], 4)
         assert pred == Predicate(self.SP, {"d": F(1, 2)})
         assert repr(pred) == "<Predicate {d: 1/2, ~d: 0} on 'disease'>"
+
+
+def _fraction_map_equal(a, b) -> bool:
+    """Equality as a comparison of class, space and the fraction map."""
+    entries = "weights" if isinstance(a, State) else "values"
+    return (
+        type(a) is type(b)
+        and a.space == b.space
+        and dict(getattr(a, entries)) == dict(getattr(b, entries))
+    )
+
+
+class TestIntegerFormEquality:
+    """States and predicates compare on their canonical integer form; the
+    result is the one comparing their fraction maps gives."""
+
+    def test_agrees_with_fraction_maps_on_seeded_pairs(self):
+        rng = random.Random(1718)
+        outcomes = set()
+        for _ in range(300):
+            elements = tuple(f"e{i}" for i in range(rng.randint(1, 3)))
+            space = Space("s", elements)
+            spaces = [space, Space("s", elements), Space("t", elements)]
+            # tiny numerators make equal pairs common
+            a = sampling.random_state(rng, space, max_den=2)
+            b = sampling.random_state(rng, rng.choice(spaces), max_den=2)
+            p = sampling.random_predicate(rng, space, max_den=2)
+            q = sampling.random_predicate(rng, rng.choice(spaces), max_den=2)
+            kernel = state_transform(identity_channel(space), a)
+            public = State(rng.choice(spaces), dict(a.weights))
+            pulled = predicate_transform(identity_channel(space), p)
+            for x, y in [(a, b), (p, q), (kernel, public), (pulled, p), (a, p)]:
+                expected = _fraction_map_equal(x, y)
+                assert (x == y) is (y == x) is expected
+                assert (x != y) is (not expected)
+                outcomes.add((type(x), type(y), expected))
+        assert len(outcomes) == 5  # equal and unequal pairs of each kind
+
+    def test_state_never_equals_predicate_with_the_same_numbers(self):
+        sp = Space("s", ("a", "b"))
+        state = State(sp, {"a": F(1, 2), "b": F(1, 2)})
+        pred = Predicate(sp, {"a": F(1, 2), "b": F(1, 2)})
+        assert (state._nums, state._den) == (pred._nums, pred._den)
+        assert state != pred and pred != state
+        assert not (state == pred or pred == state)
+
+    def test_unhashable(self):
+        sp = Space("s", ("a", "b"))
+        with pytest.raises(TypeError):
+            hash(State(sp, {"a": F(1)}))
+        with pytest.raises(TypeError):
+            hash(Predicate(sp, {"a": F(1)}))
+
+
+def _random_state_from_fractions(rng, space, max_den=20, full_support=False):
+    """``sampling.random_state`` as a map of fractions over the drawn total."""
+    lo = 1 if full_support else 0
+    while True:
+        numerators = [rng.randint(lo, max_den) for _ in space.elements]
+        total = sum(numerators)
+        if total > 0:
+            break
+    return State(space, {x: F(n, total) for x, n in zip(space.elements, numerators)})
+
+
+class TestRandomStateConstruction:
+    def test_same_states_as_the_fraction_map_construction(self):
+        for seed in range(500):
+            space = sampling.random_space(random.Random(seed), "x")
+            options = dict(max_den=seed % 20 + 1, full_support=seed % 3 == 0)
+            rng, old_rng = random.Random(seed), random.Random(seed)
+            drawn = sampling.random_state(rng, space, **options)
+            old = _random_state_from_fractions(old_rng, space, **options)
+            assert drawn == old
+            assert dict(drawn.weights) == dict(old.weights)
+            assert (drawn._nums, drawn._den) == (old._nums, old._den)
+            assert rng.getstate() == old_rng.getstate()
 
 
 class TestStateTransform:

@@ -1,5 +1,6 @@
 """The brute-force joint-table verifier, checked against the worked values."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,8 +18,14 @@ from softbayes import (
     partition_jeffrey,
     state_transform,
 )
+from softbayes import sampling
 from softbayes.core import Channel
-from softbayes.errors import DegenerateEvent, EmptyBlockWithMass, ZeroMass
+from softbayes.errors import (
+    DegenerateEvent,
+    EmptyBlockWithMass,
+    UnknownElement,
+    ZeroMass,
+)
 from softbayes.oracle import (
     JointTable,
     joint_of,
@@ -46,6 +53,19 @@ class TestJointTable:
         disease_sp, test_sp, _, _, _, _ = disease
         with pytest.raises(ZeroMass):
             JointTable(disease_sp, test_sp, {("d", "t"): F(1, 2)})
+
+    def test_first_faulty_cell_decides_the_error(self, disease):
+        disease_sp, test_sp, _, _, _, _ = disease
+        with pytest.raises(ZeroMass, match=r"^negative mass at \(d, t\)$"):
+            JointTable(
+                disease_sp, test_sp, {("d", "t"): F(-1), ("zz", "t"): F(2)}
+            )
+        with pytest.raises(UnknownElement, match="^'zz' is not an element"):
+            JointTable(
+                disease_sp, test_sp, {("zz", "t"): F(2), ("d", "t"): F(-1)}
+            )
+        with pytest.raises(UnknownElement, match="^'zz' is not an element"):
+            JointTable(disease_sp, test_sp, {("d", "zz"): F(1)})
 
     def test_marginals(self, disease, disease_joint):
         _, _, _, prior, sens, _ = disease
@@ -113,15 +133,16 @@ class TestDaggerRowSharing:
 
         _, test_sp, _, prior, sens, _ = disease
         joint = joint_of(prior, sens)
-        calls = []
-        real = oracle.oracle_condition
+        built = []  # every state the oracle builds: each row, each mixture
+        real = oracle.State
         monkeypatch.setattr(
-            oracle, "oracle_condition", lambda *a: calls.append(1) or real(*a)
+            oracle, "State", lambda *a: built.append(1) or real(*a)
         )
         rho = make_state(test_sp, {"t": F(8, 10), "~t": F(2, 10)})
         oracle_jeffrey(joint, rho)
+        assert len(built) == 3  # the rows at t and ~t, then their mixture
         rows = [oracle_dagger_row(joint, y) for y in ("t", "~t", "t")]
-        assert len(calls) == 2
+        assert len(built) == 3  # no row is computed again
         assert rows[0] is rows[2]
         assert joint == joint_of(prior, sens)  # the kept rows are not compared
         assert "_rows" not in repr(joint)
@@ -138,6 +159,54 @@ class TestDaggerRowSharing:
             with pytest.raises(ZeroMass):
                 oracle_dagger_row(joint, "~t")
         assert oracle_dagger_row(joint, "t") == prior
+
+
+class TestDaggerRowIsItsColumn:
+    """A row of the inverted channel is its column of the joint,
+    renormalised: the same state as conditioning the whole table on the
+    point evidence 1_y and taking the X-marginal."""
+
+    def test_equals_conditioning_on_the_point_evidence(self):
+        rng = random.Random(20180512)
+        rows = gaps = empty = 0
+        for i in range(200):
+            dom = sampling.random_space(rng, "x")
+            cod = sampling.random_space(rng, "y")
+            # small numerators make zero weights, and so empty columns, common
+            max_den = 2 if i % 2 else 20
+            sigma = sampling.random_state(rng, dom, max_den, full_support=i % 4 == 0)
+            chan = sampling.random_channel(rng, dom, cod, max_den)
+            joint = joint_of(sigma, chan)
+            gaps += not sigma.has_full_support
+            for y in cod.elements:
+                point_evidence = {(x, y2): F(int(y2 == y)) for (x, y2) in joint.mass}
+                try:
+                    expected = x_marginal(oracle_condition(joint, point_evidence))
+                except ZeroMass as exc:
+                    with pytest.raises(ZeroMass) as raised:
+                        oracle_dagger_row(joint, y)
+                    assert str(raised.value) == str(exc)
+                    empty += 1
+                else:
+                    assert oracle_dagger_row(joint, y) == expected
+                    rows += 1
+        assert rows > 200 and gaps > 50 and empty > 20
+
+    def test_rows_and_jeffrey_build_no_joint_table(self, disease, monkeypatch):
+        _, test_sp, _, prior, sens, _ = disease
+        joint = joint_of(prior, sens)
+        built = []
+        real = JointTable.__post_init__
+        monkeypatch.setattr(
+            JointTable, "__post_init__", lambda t: built.append(1) or real(t)
+        )
+        rho = make_state(test_sp, {"t": F(8, 10), "~t": F(2, 10)})
+        oracle_jeffrey(joint, rho)
+        oracle_dagger_row(joint, "t")
+        oracle_dagger_row(joint, "~t")
+        assert built == []
+        oracle_pearl(joint, {"t": F(1), "~t": F(1, 2)})  # conditions a table
+        assert built == [1]
 
 
 # -- the update forms the oracle has no rule for, reduced to ones it has ------
