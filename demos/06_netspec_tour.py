@@ -2,8 +2,8 @@
 
 The same networks the other demos build in Python ship as ``.netspec``
 files; this script loads one, evaluates its queries, shows how parse
-errors are reported with positions, and round-trips the declarations
-through the canonical renderer.
+errors and ill-spaced queries are reported with positions, and
+round-trips the declarations through the canonical renderer.
 """
 
 from softbayes.cli import corpus_source
@@ -25,13 +25,19 @@ def main() -> None:
     print("\nevaluating a bare declaration name echoes it:")
     print("  prior =", evaluate(env, "prior").value)
 
-    broken = "space s = { a, b }\nstate bad : s = { a: 1/2, b: 1/3 }\n"
-    print("\nparsing a state whose weights sum to 5/6:")
-    try:
-        parse(broken)
-    except NetspecError as exc:
-        for diagnostic in exc.diagnostics:
-            print("  diagnostic:", diagnostic)
+    broken = {
+        "a state whose weights sum to 5/6":
+            "space s = { a, b }\nstate bad : s = { a: 1/2, b: 1/3 }\n",
+        "a Pearl update whose prior lives on the evidence space":
+            source + "query bad = pearl(predicted, sens, pos)\n",
+    }
+    for what, text in broken.items():
+        print(f"\nparsing {what}:")
+        try:
+            parse(text)
+        except NetspecError as exc:
+            for diagnostic in exc.diagnostics:
+                print("  diagnostic:", diagnostic)
 
     decls = parse(source)
     print("\ncanonical rendering round-trips structurally:",

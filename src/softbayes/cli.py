@@ -226,15 +226,8 @@ def run_oracle_check(seed: int, instances: int) -> list[str]:
         joint = oracle.joint_of(sigma, chan)
 
         p = sampling.random_predicate(rng, dom, nonzero=True)
-        if core.validity(sigma, p) != 0:
-            direct = core.condition(sigma, p)
-            via_table = oracle.x_marginal(
-                oracle.oracle_condition(
-                    joint, {(x, y): p.values[x] for (x, y) in joint.mass}
-                )
-            )
-            if direct != via_table:
-                mismatches.append(f"instance {i}: conditioning differs")
+        if not _conditioning_agrees(sigma, joint, p):
+            mismatches.append(f"instance {i}: conditioning differs")
 
         q = sampling.random_predicate(rng, cod, nonzero=True)
         if core.validity(sigma, core.predicate_transform(chan, q)) != 0:
@@ -269,16 +262,19 @@ def run_oracle_check(seed: int, instances: int) -> list[str]:
         if core.state_transform(chan, loose) != oracle.y_marginal(loose_joint):
             mismatches.append(f"instance {i}: gap-prior prediction differs")
         p2 = sampling.random_predicate(rng, dom, nonzero=True)
-        if core.validity(loose, p2) != 0:
-            direct = core.condition(loose, p2)
-            via_table = oracle.x_marginal(
-                oracle.oracle_condition(
-                    loose_joint, {(x, y): p2.values[x] for (x, y) in loose_joint.mass}
-                )
-            )
-            if direct != via_table:
-                mismatches.append(f"instance {i}: gap-prior conditioning differs")
+        if not _conditioning_agrees(loose, loose_joint, p2):
+            mismatches.append(f"instance {i}: gap-prior conditioning differs")
     return mismatches
+
+
+def _conditioning_agrees(prior, joint, p) -> bool:
+    """Whether ``prior`` conditioned on ``p`` is the x-marginal of its
+    joint table conditioned on ``p``; True where ``p`` has validity 0."""
+    if core.validity(prior, p) == 0:
+        return True
+    direct = core.condition(prior, p)
+    weights = {(x, y): p.values[x] for (x, y) in joint.mass}
+    return direct == oracle.x_marginal(oracle.oracle_condition(joint, weights))
 
 
 def cmd_check(args) -> int:

@@ -22,9 +22,9 @@ Space references are a declared name or an inline binary product
 names must be declared before use; ``#`` starts a line comment.
 
 Parsing builds each value through ``core``'s constructors, which alone
-validate it, and reports positioned diagnostics; compilation collects the
-values and statically space-checks every query, binding each of its
-names, before anything is evaluated.
+validate it, and space-checks and binds each query as it closes, against
+what was declared before it.  Every fault is a positioned diagnostic, and
+nothing is evaluated from a file with a fault.
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ class QueryDecl:
     name: str
     expr: "QueryExpr"
     line: int = field(compare=False, default=0)
+    value: Optional[CompiledQuery] = field(compare=False, repr=False, default=None)
 
 
 Declaration = Union[
@@ -321,9 +322,11 @@ OPERATIONS: dict[str, Operation] = {
     ),
 }
 
-DECL_KEYWORDS = frozenset(
-    {"space", "state", "channel", "predicate", "function", "query"}
-)
+# The Environment table each declaration keyword enters its name in;
+# functions are lifted to channels, so the two share one table.
+_TABLES = {"space": "spaces", "state": "states", "predicate": "predicates",
+           "channel": "channels", "function": "channels", "query": "queries"}
+DECL_KEYWORDS = frozenset(_TABLES)
 
 # Deepest nesting of calls and element pairs the parser accepts; it keeps
 # every recursive pass over one declaration far inside the interpreter's
@@ -456,14 +459,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # calls and element pairs open at the current token
         self.diagnostics: list[ParseDiagnostic] = []
-        # symbol tables for single-pass reference checking; functions are
-        # lifted to channels, so the two kinds share one table
-        self.spaces: dict[str, Space] = {}
-        self.names: dict[str, set] = {
-            kw: set() for kw in ("state", "channel", "predicate", "query")
-        }
-        self.names["function"] = self.names["channel"]
-        self.declared: set = set()  # every name above, of any kind
+        self.env = Environment()  # every declaration accepted so far
         self.fault = None  # the current declaration's first fault core raised
 
     # -- token plumbing ----------------------------------------------------
@@ -586,11 +582,7 @@ class _Parser:
                 self.depth = 0
                 self.synchronise()
                 continue
-            if tok.text == "space":
-                self.spaces[decl.name] = decl.value
-            else:
-                self.names[tok.text].add(decl.name)
-            self.declared.add(decl.name)
+            getattr(self.env, _TABLES[tok.text])[decl.name] = decl.value
             decls.append(decl)
         return decls
 
@@ -598,8 +590,7 @@ class _Parser:
         """``kind name``: the keyword token and a name not yet taken."""
         kw = self.advance()
         name = self.expect_ident(f"{kind} name")
-        taken = self.spaces if kind == "space" else self.names[kind]
-        if name.text in taken:
+        if name.text in getattr(self.env, _TABLES[kind]):
             raise self.fail(name, f"duplicate {kind} name {name.text!r}")
         return kw, name
 
@@ -637,9 +628,9 @@ class _Parser:
         return (first.text, second.text), core.product_space(left, right)
 
     def resolve_space(self, tok: Token) -> Space:
-        if tok.text not in self.spaces:
+        if tok.text not in self.env.spaces:
             raise self.fail(tok, f"unknown space {tok.text!r}")
-        return self.spaces[tok.text]
+        return self.env.spaces[tok.text]
 
     def parse_typed(self, kind: str) -> list:
         """``kind name : space =``, or ``... : space -> space =`` for a channel
@@ -732,13 +723,18 @@ class _Parser:
         kw, name = self.parse_header("query")
         self.expect("EQUALS", "'='")
         expr = self.parse_expr()
-        return QueryDecl(name.text, expr, line=kw.line)
+        try:
+            value = CompiledQuery(*check_expr(expr, self.env, name.text, name.text))
+        except SpaceMismatch as exc:  # placed at the Call or NameRef it names
+            self.diagnostics.append(
+                ParseDiagnostic("error", exc.at.line, exc.at.column, str(exc))
+            )
+            raise _Recover from None
+        return QueryDecl(name.text, expr, line=kw.line, value=value)
 
     def parse_expr(self) -> QueryExpr:
         tok = self.expect("IDENT", "a name or operation")
         if self.tokens[self.pos].kind != "LPAREN":
-            if tok.text not in self.declared:  # declared earlier, any kind
-                raise self.fail(tok, f"unknown name {tok.text!r}")
             return NameRef(tok.text, tok.line, tok.column)
         op = OPERATIONS.get(tok.text)
         if op is None:
@@ -870,10 +866,10 @@ def render(decls: list[Declaration]) -> str:
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """A compiled query: its declaration, its static kind and space info,
-    and its expression with every name bound (see ``check_expr``)."""
+    """A checked query, as parsing leaves it on its ``QueryDecl``: its
+    static kind and space info, and its expression with every name bound
+    (see ``check_expr``)."""
 
-    decl: QueryDecl
     kind: str
     info: object
     # shared with every query that uses this one: too costly to compare or print
@@ -882,36 +878,28 @@ class CompiledQuery:
 
 @dataclass
 class Environment:
-    """Compiled named values and queries; functions are lifted channels."""
+    """Named values and checked queries; functions are lifted channels."""
 
-    spaces: dict[str, Space]
-    states: dict[str, State]
-    predicates: dict[str, Predicate]
-    channels: dict[str, Channel]
-    queries: dict[str, CompiledQuery]
-
-    @classmethod
-    def empty(cls) -> "Environment":
-        return cls({}, {}, {}, {}, {})
+    spaces: dict[str, Space] = field(default_factory=dict)
+    states: dict[str, State] = field(default_factory=dict)
+    predicates: dict[str, Predicate] = field(default_factory=dict)
+    channels: dict[str, Channel] = field(default_factory=dict)
+    queries: dict[str, CompiledQuery] = field(default_factory=dict)
 
 
 def compile_network(decls: list[Declaration]) -> Environment:
-    """Collect the values parsing built, then check and bind each query.
+    """Collect the values parsing built, a checked and bound
+    ``CompiledQuery`` for each query included, under their names.
 
-    Query space-checking raises SpaceMismatch naming the query and
-    subexpression path.  Each query's names are bound to what was
-    declared before it, so a later declaration never changes an earlier
-    query.
+    Parsing bound each query's names to what was declared before it, so
+    a later declaration never changes an earlier query.
     """
-    env = Environment.empty()
+    env = Environment()
     tables = {SpaceDecl: env.spaces, StateDecl: env.states, ChannelDecl: env.channels,
-              FunctionDecl: env.channels, PredicateDecl: env.predicates}
+              FunctionDecl: env.channels, PredicateDecl: env.predicates,
+              QueryDecl: env.queries}
     for decl in decls:
-        if isinstance(decl, QueryDecl):
-            checked = check_expr(decl.expr, env, decl.name, path=decl.name)
-            env.queries[decl.name] = CompiledQuery(decl, *checked)
-        else:
-            tables[type(decl)][decl.name] = decl.value
+        tables[type(decl)][decl.name] = decl.value
     return env
 
 
@@ -954,9 +942,9 @@ def check_expr(
     pair for channels, and None for scalars.  The bound expression is the
     expression with each name replaced by the value or CompiledQuery it
     resolves to in ``env`` and each event by its elements; evaluation
-    looks no name up again.  Any conflict raises SpaceMismatch mentioning
-    the query name and subexpression path, so an ill-spaced query never
-    starts evaluating.
+    looks no name up again.  Any conflict, an unknown name included, raises
+    SpaceMismatch naming the query and subexpression path; its ``at`` is
+    the Call or NameRef at that path, where the parser reports it.
     """
     if isinstance(expr, Call):
         op = OPERATIONS[expr.op]
@@ -974,20 +962,23 @@ def check_expr(
         try:
             kind, info = op.space(*infos)
         except SpaceMismatch as exc:
-            raise SpaceMismatch(f"query {query!r} at {where}: {exc}") from None
+            raise _fault(expr, query, where, exc) from None
         bound = Call(expr.op, tuple(args))
     else:
         found = _resolve(env, expr.name, expected)
         if found is None:
-            raise SpaceMismatch(
-                f"query {query!r} at {path}: unknown name {expr.name!r}"
-            )
+            raise _fault(expr, query, path, f"unknown name {expr.name!r}")
         kind, info, bound = found
     if expected is not None and kind != expected:
-        raise SpaceMismatch(
-            f"query {query!r} at {path}: expected a {expected}, got a {kind}"
-        )
+        raise _fault(expr, query, path, f"expected a {expected}, got a {kind}")
     return kind, info, bound
+
+
+def _fault(at: QueryExpr, query: str, path: str, detail) -> SpaceMismatch:
+    """The static fault ``detail`` of ``query`` at ``path``, about ``at``."""
+    exc = SpaceMismatch(f"query {query!r} at {path}: {detail}")
+    exc.at = at
+    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1021,8 @@ def evaluate(env: Environment, name: str) -> QueryResult:
     """
     found = _resolve(env, name)
     if found is None:
+        if name in env.spaces:
+            raise SpaceMismatch(f"{name!r} is a space, which has no value to evaluate")
         raise SpaceMismatch(f"no query or declaration named {name!r}")
     kind, _info, target = found
     if not isinstance(target, CompiledQuery):
@@ -1083,5 +1076,5 @@ def _eval_expr(bound, memo: Optional[dict] = None):
 
 
 def load(source: str) -> Environment:
-    """Parse and compile in one step."""
+    """Parse, which checks and binds every query, and collect the values."""
     return compile_network(parse(source))

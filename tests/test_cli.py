@@ -142,6 +142,27 @@ class TestEval:
         assert code == 1
         assert "nonsense" in err
 
+    def test_space_name_is_called_a_space(self, capsys, disease_file):
+        code, out, err = run(capsys, "eval", disease_file, "disease")
+        assert (code, out) == (1, "")
+        assert err == "error: 'disease' is a space, which has no value to evaluate\n"
+
+    def test_ill_spaced_query_exits_two_with_position(self, capsys, tmp_path):
+        """A query's space fault is a parse error of the whole file, so an
+        eval of a name declared before the query fails too."""
+        f = tmp_path / "z.netspec"
+        text = corpus_source("disease.netspec") + "query z = pearl(predicted, sens, pos)\n"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(netspec.NetspecError):
+            netspec.parse(text)
+        for path, line in ((f, 28), (CORPUS / "malformed_query.netspec", 8)):
+            code, out, err = run(capsys, "eval", str(path), "prior")
+            assert (code, out) == (2, "")
+            assert err == (
+                f"{line}:11: error: query 'z' at z/pearl: "
+                "prior on 'test' vs channel domain 'disease'\n"
+            )
+
     def test_parse_error_exits_two_with_position(self, capsys):
         code, _, err = run(
             capsys, "eval", str(CORPUS / "malformed_weights.netspec"), "prior"

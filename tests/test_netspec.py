@@ -25,8 +25,10 @@ from softbayes.netspec import (
     check_expr,
     evaluate,
     load,
+    _eval_expr,
     parse,
     render,
+    render_expr,
     tokenize,
 )
 
@@ -40,6 +42,91 @@ channel sens : disease -> test = {
   ~d: { t: 1/20, ~t: 19/20 }
 }
 """
+
+
+RESULT_KINDS = {
+    "transform": "state", "predtransform": "predicate", "validity": "scalar",
+    "condition": "state", "compose": "channel", "dagger": "channel",
+    "pearl": "state", "jeffrey": "state", "product": "state",
+    "marginal": "state", "atc": "state", "nec": "state", "blend": "state",
+}
+NESTED = {"state", "predicate", "channel", "scalar"}  # the kinds a call may give
+
+
+def recipes(ops) -> dict:
+    """Result kind -> [(op, argument kinds)] for the operations ``ops``."""
+    table: dict = {}
+    for op in ops:
+        table.setdefault(RESULT_KINDS[op], []).append((op, OPERATIONS[op].args))
+    return table
+
+
+ALL_RECIPES = recipes(OPERATIONS)
+# the update rules and the operations they are built from
+UPDATE_RECIPES = recipes(
+    ["transform", "condition", "pearl", "jeffrey", "blend", "predtransform", "dagger"]
+)
+
+
+class RandomQueries:
+    """Random query expressions over a network's names.  ``recipes`` maps a
+    result kind to its (op, argument kinds); an argument of a kind in
+    ``nested`` may be a call, any other is a leaf.  With ``steer``, a name
+    leaf may name a query, one in twenty is a space (an unknown name) or a
+    name of any kind, and a call is drawn again, up to three times, while
+    the checker rejects it, so that deep well-spaced calls are common."""
+
+    def __init__(self, rng, env, recipes, nested, steer):
+        self.rng, self.env, self.recipes, self.nested = rng, env, recipes, nested
+        self.tries = 4 if steer else 1
+        self.names = {
+            "state": [*env.states], "predicate": [*env.predicates],
+            "channel": [*env.channels],
+        }
+        self.strays = []
+        if steer:
+            for name, query in env.queries.items():
+                self.names[query.kind].append(name)
+            self.strays = [*env.spaces, *env.states, *env.predicates, *env.channels]
+        spaces = [*env.spaces.values()] + [v.space for v in env.states.values()]
+        self.elements = sorted({x for sp in spaces for x in sp.elements}, key=repr)
+
+    def expr(self, kind: str, depth: int):
+        if depth <= 0 or self.rng.random() < 0.4:
+            return self.leaf(kind)
+        options = self.recipes[kind]
+        for _ in range(self.tries):
+            op, kinds = options[0] if len(options) == 1 else self.rng.choice(options)
+            call = Call(op, tuple(
+                self.expr(k, depth - 1 if k in self.nested else 0) for k in kinds
+            ))
+            try:
+                check_expr(call, self.env, "t", "t")
+                return call
+            except SpaceMismatch:
+                pass
+        return call
+
+    def leaf(self, kind: str):
+        rng = self.rng
+        if kind == "scalar":
+            return F(rng.randint(0, 4), 4)
+        if kind == "factor":
+            return F(rng.randint(1, 6), 2)
+        if kind == "which":
+            return rng.choice(("first", "second"))
+        if kind == "event":
+            return EventLiteral(tuple(rng.sample(self.elements, rng.randint(1, 2))))
+        if self.strays and rng.random() < 0.05:
+            return NameRef(rng.choice(self.strays))
+        return NameRef(rng.choice(self.names[kind]))
+
+    @staticmethod
+    def ops(expr) -> set:
+        """Every operation in ``expr``."""
+        if not isinstance(expr, Call):
+            return set()
+        return {expr.op}.union(*map(RandomQueries.ops, expr.args))
 
 
 class TestTokenizer:
@@ -107,19 +194,43 @@ class TestParse:
         assert diag.line == 2
         assert diag.severity == "error"
 
-    def test_diagnostics_are_listed_in_line_order(self):
-        """A parser error on line 2 comes before a bad character on line 3."""
-        source = (
-            "space s = { a, b }\n"
-            "state p : s = { a: 1/2, b: 1/3 }\n"
-            "space t = { c, d } @\n"
-        )
+    @pytest.mark.parametrize(
+        "source, diagnostics",
+        [
+            pytest.param(
+                "space s = { a, b }\n"
+                "state p : s = { a: 1/2, b: 1/3 }\n"
+                "space t = { c, d } @\n",
+                [
+                    "2:1: error: weights sum to 5/6, expected 1",
+                    "3:20: error: unexpected character '@'",
+                ],
+                id="parser-before-tokenizer",
+            ),
+            pytest.param(
+                "space s = { a, b }\nspace t = { u, v }\n"
+                "state p : s = { a: 1/2, b: 1/2 }\n"
+                "predicate r : t = { u: 1 }\n"
+                "query q1 = condition(p, r)\n"
+                "state w : t = { u: 1/2, v: 1/3 }\n"
+                "query q2 = blend(1/2, p,\n  marginal(p, first))\n",
+                [
+                    "5:12: error: query 'q1' at q1/condition: "
+                    "state on 's' but predicate on 't'",
+                    "6:1: error: weights sum to 5/6, expected 1",
+                    "8:3: error: query 'q2' at q2/blend.arg2/marginal: "
+                    "marginal needs a product-space state, got 's'",
+                ],
+                id="queries-among-values",
+            ),
+        ],
+    )
+    def test_diagnostics_are_listed_in_line_order(self, source, diagnostics):
+        """A parser error on line 2 comes before a bad character on line 3;
+        a query's faults are listed with the others, each at its line."""
         with pytest.raises(NetspecError) as err:
             parse(source)
-        assert [str(d) for d in err.value.diagnostics] == [
-            "2:1: error: weights sum to 5/6, expected 1",
-            "3:20: error: unexpected character '@'",
-        ]
+        assert [str(d) for d in err.value.diagnostics] == diagnostics
 
     def test_unknown_reference(self):
         with pytest.raises(NetspecError) as err:
@@ -321,16 +432,33 @@ class TestParse:
             parse(f"space s = {{ a, b }}\nspace t = {{ u, v }}\n{declaration}\n")
         assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
-    def test_a_rejected_declaration_defines_no_name(self):
+    @pytest.mark.parametrize(
+        "declarations, diagnostics",
+        [
+            pytest.param(
+                "state p : s = { a: 1/2, b: 1/3 }\nquery q = p\n",
+                [
+                    "3:1: error: weights sum to 5/6, expected 1",
+                    "4:11: error: query 'q' at q: unknown name 'p'",
+                ],
+                id="value",
+            ),
+            pytest.param(
+                "state p : s = { a: 1/2, b: 1/2 }\n"
+                "query q = marginal(p, first)\nquery r = blend(1/2, p, q)\n",
+                [
+                    "4:11: error: query 'q' at q/marginal: "
+                    "marginal needs a product-space state, got 's'",
+                    "5:25: error: query 'r' at r/blend.arg2: unknown name 'q'",
+                ],
+                id="query",
+            ),
+        ],
+    )
+    def test_a_rejected_declaration_defines_no_name(self, declarations, diagnostics):
         with pytest.raises(NetspecError) as err:
-            parse(
-                "space s = { a, b }\nspace t = { u, v }\n"
-                "state p : s = { a: 1/2, b: 1/3 }\nquery q = p\n"
-            )
-        assert [str(d) for d in err.value.diagnostics] == [
-            "3:1: error: weights sum to 5/6, expected 1",
-            "4:11: error: unknown name 'p'",
-        ]
+            parse("space s = { a, b }\nspace t = { u, v }\n" + declarations)
+        assert [str(d) for d in err.value.diagnostics] == diagnostics
 
     @pytest.mark.parametrize(
         "declaration, diagnostic",
@@ -605,111 +733,131 @@ class TestStaticSpaceCheck:
             "predicate wrong : disease = { d: 1/2 }\n"
             "query broken = pearl(prior, sens, wrong)\n"
         )
-        with pytest.raises(SpaceMismatch) as err:
+        with pytest.raises(NetspecError) as err:
             load(source)
-        message = str(err.value)
-        assert "broken" in message and "pearl" in message
+        [diagnostic] = err.value.diagnostics
+        assert (diagnostic.line, diagnostic.column) == (10, 16)
+        assert "broken" in diagnostic.message and "pearl" in diagnostic.message
 
     @pytest.mark.parametrize(
-        "expression, path, message",
+        "expression, path, message, column",
         [
             (
                 "transform(sens, seen)",
                 "bad/transform",
                 "state on 'test' cannot flow through channel from 'disease'",
+                13,
             ),
             (
                 "predtransform(sens, ill)",
                 "bad/predtransform",
                 "predicate on 'disease' does not match channel codomain 'test'",
+                13,
             ),
             (
                 "validity(prior, pos)",
                 "bad/validity",
                 "state on 'disease' but predicate on 'test'",
+                13,
             ),
             (
                 "condition(seen, ill)",
                 "bad/condition",
                 "state on 'test' but predicate on 'disease'",
+                13,
             ),
             (
                 "compose(sens, sens)",
                 "bad/compose",
                 "cannot compose: inner codomain 'test' is not outer domain 'disease'",
+                13,
             ),
             (
                 "dagger(sens, seen)",
                 "bad/dagger",
                 "prior on 'test' does not match channel domain 'disease'",
+                13,
             ),
             (
                 "pearl(seen, sens, pos)",
                 "bad/pearl",
                 "prior on 'test' vs channel domain 'disease'",
+                13,
             ),
             (
                 "jeffrey(prior, sens, prior)",
                 "bad/jeffrey",
                 "evidence on 'disease' vs channel codomain 'test'",
+                13,
             ),
             (
                 "marginal(prior, first)",
                 "bad/marginal",
                 "marginal needs a product-space state, got 'disease'",
+                13,
             ),
             (
                 "atc(prior, {t}, 1/2)",
                 "bad/atc",
                 "event element 't' is not in space 'disease'",
+                13,
             ),
             (
                 "nec(prior, {d, t}, 2)",
                 "bad/nec",
                 "event element 't' is not in space 'disease'",
+                13,
             ),
             (
                 "blend(1/2, prior, seen)",
                 "bad/blend",
                 "blend arms live on different spaces 'disease' and 'test'",
+                13,
             ),
             (
                 "blend(prior, prior, prior)",
                 "bad/blend.arg0",
                 "expected a scalar, got a state",
+                19,
             ),
             (
                 "pearl(transform(sens, seen), sens, pos)",
                 "bad/pearl.arg0/transform",
                 "state on 'test' cannot flow through channel from 'disease'",
+                19,
             ),
             (
                 "blend(validity(prior, ill), prior, transform(sens, prior))",
                 "bad/blend",
                 "blend arms live on different spaces 'disease' and 'test'",
+                13,
             ),
             (
                 "transform(pos, prior)",
                 "bad/transform.arg0",
                 "expected a channel, got a predicate",
+                23,
             ),
             (
                 "validity(prior, predtransform(sens, prior))",
                 "bad/validity.arg1/predtransform.arg1",
                 "expected a predicate, got a state",
+                49,
             ),
         ],
     )
-    def test_mismatch_texts(self, expression, path, message):
+    def test_mismatch_texts(self, expression, path, message, column):
         source = DISEASE_MINIMAL + (
             "predicate pos : test = { t: 8/10, ~t: 2/10 }\n"
             "predicate ill : disease = { d: 1, ~d: 0 }\n"
             "state seen : test = { t: 1/2, ~t: 1/2 }\n"
             f"query bad = {expression}\n"
         )
-        with pytest.raises(SpaceMismatch) as err:
+        with pytest.raises(NetspecError) as err:
             load(source)
-        assert str(err.value) == f"query 'bad' at {path}: {message}"
+        assert [str(d) for d in err.value.diagnostics] == [
+            f"12:{column}: error: query 'bad' at {path}: {message}"
+        ]
 
     def test_unknown_name_reported_at_its_path(self):
         env = load(DISEASE_MINIMAL)
@@ -720,79 +868,100 @@ class TestStaticSpaceCheck:
 
     def test_compose_mismatch_caught_statically(self):
         source = DISEASE_MINIMAL + "query bad = compose(sens, sens)\n"
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(NetspecError) as err:
             load(source)
+        assert str(err.value) == (
+            "9:13: error: query 'bad' at bad/compose: "
+            "cannot compose: inner codomain 'test' is not outer domain 'disease'"
+        )
 
     def test_marginal_needs_product_space(self):
         source = DISEASE_MINIMAL + "query bad = marginal(prior, first)\n"
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(NetspecError) as err:
             load(source)
+        assert str(err.value) == (
+            "9:13: error: query 'bad' at bad/marginal: "
+            "marginal needs a product-space state, got 'disease'"
+        )
 
     def test_scalar_position_rejects_states(self):
         source = DISEASE_MINIMAL + (
             "query bad = blend(prior, prior, prior)\n"
         )
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(NetspecError) as err:
             load(source)
+        assert str(err.value) == (
+            "9:19: error: query 'bad' at bad/blend.arg0: expected a scalar, got a state"
+        )
 
     def test_checker_soundness_on_random_expressions(self):
-        """Anything the checker accepts must evaluate without SpaceMismatch."""
-        env = load(corpus_source("disease.netspec"))
-        rng = random.Random(4242)
-        state_names = list(env.states)
-        pred_names = list(env.predicates)
-        chan_names = list(env.channels)
+        """Random query text, through ``load``.  A query the checker accepts
+        evaluates without SpaceMismatch, to the value or error the checked
+        expression gives, also through an alias and, for a state, nested in
+        ``blend(1, x, x)``.  A query it rejects gives one diagnostic, the
+        checker's text, at the Call or NameRef that text names."""
+        accepted, ops = 0, set()
+        runs = [
+            ("disease.netspec", 4242, 300, UPDATE_RECIPES, {"state"}, False),
+            ("disease.netspec", 5151, 500, ALL_RECIPES, NESTED, True),
+            ("dietrich.netspec", 6262, 500, ALL_RECIPES, NESTED, True),
+        ]
+        for file, seed, count, recipes, nested, steer in runs:
+            network = corpus_source(file)
+            env = load(network)
+            queries = RandomQueries(random.Random(seed), env, recipes, nested, steer)
+            for _ in range(count):
+                expr = queries.expr(queries.rng.choice(list(recipes)), depth=3)
+                if not isinstance(expr, (Call, NameRef)):
+                    continue  # a bare scalar literal is no query
+                if self.check_as_text(network, env, expr):
+                    accepted += 1
+                    ops |= queries.ops(expr)
+        assert accepted > 250  # the generators produce mostly well-spaced trees
+        assert ops == set(OPERATIONS)
 
-        def gen(kind: str, depth: int):
-            if depth <= 0 or rng.random() < 0.4:
-                if kind == "state":
-                    return NameRef(rng.choice(state_names))
-                if kind == "predicate":
-                    return NameRef(rng.choice(pred_names))
-                return NameRef(rng.choice(chan_names))
-            if kind == "state":
-                op = rng.choice(
-                    ["transform", "condition", "pearl", "jeffrey", "blend"]
-                )
-                if op == "transform":
-                    return Call(op, (gen("channel", 0), gen("state", depth - 1)))
-                if op == "condition":
-                    return Call(op, (gen("state", depth - 1), gen("predicate", 0)))
-                if op == "pearl":
-                    return Call(
-                        op,
-                        (gen("state", depth - 1), gen("channel", 0), gen("predicate", 0)),
-                    )
-                if op == "jeffrey":
-                    return Call(
-                        op,
-                        (gen("state", depth - 1), gen("channel", 0), gen("state", depth - 1)),
-                    )
-                return Call(
-                    op,
-                    (F(rng.randint(0, 4), 4), gen("state", depth - 1), gen("state", depth - 1)),
-                )
-            if kind == "predicate":
-                return Call("predtransform", (gen("channel", 0), gen("predicate", 0)))
-            return Call("dagger", (gen("channel", 0), gen("state", depth - 1)))
+    @staticmethod
+    def check_as_text(network: str, env, expr) -> bool:
+        """Check ``expr`` as query text appended to ``network``; whether the
+        checker accepts it."""
+        text = render_expr(expr)
+        source = f"{network}query t = {text}\n"
+        try:
+            kind, _, bound = check_expr(expr, env, "t", "t")
+        except SpaceMismatch as exc:
+            with pytest.raises(NetspecError) as err:
+                load(source)
+            [diagnostic] = err.value.diagnostics
+            assert diagnostic.message == str(exc)
+            assert diagnostic.line == source.count("\n")
+            node = expr  # the node the path in the message names
+            path = re.match(r"query 't' at (\S+): ", str(exc)).group(1)
+            for step in path.split("/")[1:]:
+                if ".arg" in step:
+                    node = node.args[int(step.rsplit(".arg", 1)[1])]
+            line = source.splitlines()[-1]
+            word = re.match(r"~?\w+\(?", line[diagnostic.column - 1:]).group()
+            assert word == (f"{node.op}(" if isinstance(node, Call) else node.name)
+            return False
 
-        accepted = 0
-        for i in range(300):
-            expr = gen(rng.choice(["state", "predicate", "channel"]), depth=3)
+        def outcome(value):
             try:
-                bound = check_expr(expr, env, f"rand{i}", f"rand{i}")[2]
-            except SpaceMismatch:
-                continue
-            accepted += 1
-            try:
-                from softbayes.netspec import _eval_expr
-
-                _eval_expr(bound)
+                return value()
             except SpaceMismatch as exc:  # soundness violation
-                pytest.fail(f"checker accepted but evaluation mismatched: {exc}")
-            except errors.SoftbayesError:
-                pass  # runtime conditions (zero validity etc.) are fine
-        assert accepted > 50  # the generator produces mostly well-spaced trees
+                pytest.fail(f"checker accepted {text} but evaluation mismatched: {exc}")
+            except errors.SoftbayesError as exc:  # zero validity etc.
+                return type(exc), str(exc)
+
+        source += "query a = t\n"
+        names = ["t", "a"]
+        if kind == "state":
+            source += f"query n = blend(1, {text}, {text})\n"
+            names.append("n")
+        loaded = load(source)
+        expected = outcome(lambda: _eval_expr(bound))
+        for name in names:
+            assert outcome(lambda: evaluate(loaded, name).value) == expected, (name, text)
+        return True
 
     def test_corpus_queries_all_statically_checked_and_evaluable(self):
         for name in corpus_names():
