@@ -16,18 +16,20 @@ Weight maps are total: every element of the space has an entry, and zero
 weights are stored rather than dropped.  Iteration always follows the
 space's element order, which makes rendering and CSV output deterministic.
 
-Representation: ``Fraction`` at the API, integers inside.  ``weights`` and
-``values`` are read-only maps of reduced fractions, but every state and
+Representation: ``Fraction`` at the API, integers inside.  A state and a
+predicate are the same kind of object, a [0, 1]-valued function on a space,
+and share one implementation, the private base ``_UnitValued``; a state's
+values (``weights``) must also sum to 1, a predicate's (``values``) need
+not.  Both are read-only maps of reduced fractions, but every state and
 predicate also carries its integer form, one numerator per element in space
 order over one shared denominator (the lcm of the fractions' denominators,
 so the form is canonical, and equality compares it).  A channel lazily puts
 its rows over one common denominator.  The kernels multiply and add these
 integers and reduce to fractions once per result, rather than normalising a
-``Fraction`` after every operation.  There is one validation layer,
-``_check_numerators``, on the integer form: the public constructors put
-their fractions over the lcm and call it, and the kernels' results pass
-through it by way of the private ``State._from_integers`` /
-``Predicate._from_integers``.
+``Fraction`` after every operation.  There is one validation layer, the
+base's ``_check_numerators``, on the integer form: the public constructors
+put their fractions over the lcm and call it, and the kernels' results pass
+through it by way of the private ``_from_integers``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .errors import (
     DuplicateElement,
@@ -149,109 +151,111 @@ def _require_same_space(a: Space, b: Space, what: str) -> None:
 # states and predicates
 
 
-def _check_numerators(
-    space: Space, nums: Sequence[int], den: int, what: str, is_state: bool
-) -> None:
-    """The one validation of a state or predicate, on its integer form.
-
-    Every nums[i] / den must lie in [0, 1]; for a state the numerators
-    must also sum to den.  The elements are walked only to name a fault.
-    """
-    if min(nums) < 0 or max(nums) > den:
-        for x, k in zip(space.elements, nums):
-            if k < 0 or k > den:
-                raise ValueOutOfRange(
-                    f"{what} {Fraction(k, den)} at {render_element(x)} "
-                    "lies outside [0, 1]",
-                    element=x,
-                )
-    if is_state:
-        total = sum(nums)
-        if total != den:
-            raise WeightSumNotOne(
-                f"weights sum to {Fraction(total, den)}, expected 1"
-            )
-
-
-def _checked_init(value, entries_attr: str, what: str, is_state: bool) -> None:
-    """Validate a public construction: known elements and Fraction entries,
-    put over the lcm of their denominators and checked as integers.
-
-    Membership is one subset test; only when it fails are the entries
-    walked for it, so the first faulty entry still decides the error."""
-    space, entries = value.space, getattr(value, entries_attr)
-    known = space._members.issuperset(entries)
-    for x, w in entries.items():
-        if not known:
-            space.require(x)
-        if not isinstance(w, Fraction):
-            raise TypeError(f"{what} at {render_element(x)} is not a Fraction")
-    full = [entries.get(x, ZERO) for x in space.elements]
-    den = lcm(*(w.denominator for w in full))
-    nums = tuple(w.numerator * (den // w.denominator) for w in full)
-    _check_numerators(space, nums, den, what, is_state)
-    full_map = MappingProxyType(dict(zip(space.elements, full)))
-    object.__setattr__(value, entries_attr, full_map)
-    object.__setattr__(value, "_nums", nums)
-    object.__setattr__(value, "_den", den)
-
-
-def _from_checked(
-    cls, space: Space, nums: Sequence[int], den: int, entries_attr: str
-):
-    """An instance from validated integers: reduced once, then one reduced
-    Fraction per element."""
-    g = gcd(den, *nums)
-    if g != 1:
-        nums, den = [k // g for k in nums], den // g
-    value = object.__new__(cls)
-    entries = {x: Fraction(k, den) if k else ZERO for x, k in zip(space.elements, nums)}
-    value.__dict__.update(
-        {
-            "space": space,
-            entries_attr: MappingProxyType(entries),
-            "_nums": tuple(nums),
-            "_den": den,
-        }
-    )
-    return value
-
-
-def _same_integer_form(a, b):
-    """Equality of states or predicates on their canonical integer form,
-    which agrees with comparing the fraction maps."""
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._den, a._nums, a.space) == (b._den, b._nums, b.space)
-
-
-@dataclass(frozen=True)
-class State:
-    """A distribution on a space: exact weights in [0, 1] summing to 1."""
+@dataclass(frozen=True, eq=False, repr=False)
+class _UnitValued:
+    """An exact [0, 1]-valued function on a space: the one implementation
+    of State and Predicate, which differ only in what their entries are
+    called and in whether those must sum to 1.  Unhashable."""
 
     space: Space
-    weights: Mapping[Element, Fraction]
-    # integer form: weights[x] == _nums[i] / _den, in space order
+    # integer form: entries[x] == _nums[i] / _den, in space order
     _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _checked_init(self, "weights", "weight", is_state=True)
+    _entries: ClassVar[str]  # the field holding the Fraction map
+    _word: ClassVar[str]  # what errors call one entry
+    _sums_to_one: ClassVar[bool]
 
-    __eq__ = _same_integer_form
+    def __post_init__(self):
+        """Validate a public construction: known elements and Fraction
+        entries, put over the lcm of their denominators and checked as
+        integers.
+
+        Membership is one subset test; only when it fails are the entries
+        walked for it, so the first faulty entry still decides the error."""
+        space, entries = self.space, getattr(self, self._entries)
+        known = space._members.issuperset(entries)
+        for x, w in entries.items():
+            if not known:
+                space.require(x)
+            if not isinstance(w, Fraction):
+                raise TypeError(
+                    f"{self._word} at {render_element(x)} is not a Fraction"
+                )
+        full = [entries.get(x, ZERO) for x in space.elements]
+        den = lcm(*(w.denominator for w in full))
+        nums = tuple(w.numerator * (den // w.denominator) for w in full)
+        self._check_numerators(space, nums, den)
+        full_map = MappingProxyType(dict(zip(space.elements, full)))
+        object.__setattr__(self, self._entries, full_map)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _from_integers(cls, space: Space, nums: Sequence[int], den: int) -> State:
-        """The state with weights nums[i] / den (den > 0), validated."""
-        _check_numerators(space, nums, den, "weight", is_state=True)
-        return _from_checked(cls, space, nums, den, "weights")
+    def _check_numerators(cls, space: Space, nums: Sequence[int], den: int) -> None:
+        """The one validation, on the integer form: every nums[i] / den must
+        lie in [0, 1], and a state's numerators must sum to den.  The
+        elements are walked only to name a fault."""
+        if min(nums) < 0 or max(nums) > den:
+            for x, k in zip(space.elements, nums):
+                if k < 0 or k > den:
+                    raise ValueOutOfRange(
+                        f"{cls._word} {Fraction(k, den)} at {render_element(x)} "
+                        "lies outside [0, 1]",
+                        element=x,
+                    )
+        if cls._sums_to_one:
+            total = sum(nums)
+            if total != den:
+                raise WeightSumNotOne(
+                    f"weights sum to {Fraction(total, den)}, expected 1"
+                )
+
+    @classmethod
+    def _from_integers(cls, space: Space, nums: Sequence[int], den: int):
+        """The value with entries nums[i] / den (den > 0), validated: reduced
+        once, then one reduced Fraction per element."""
+        cls._check_numerators(space, nums, den)
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [k // g for k in nums], den // g
+        value = object.__new__(cls)
+        entries = {x: Fraction(k, den) if k else ZERO for x, k in zip(space.elements, nums)}
+        value.__dict__.update(
+            {
+                "space": space,
+                cls._entries: MappingProxyType(entries),
+                "_nums": tuple(nums),
+                "_den": den,
+            }
+        )
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._den, self._nums, self.space) == (
+            other._den, other._nums, other.space
+        )
 
     def __call__(self, element: Element) -> Fraction:
         self.space.require(element)
-        return self.weights[element]
+        return getattr(self, self._entries)[element]
 
     def items(self) -> Iterator[tuple[Element, Fraction]]:
-        return iter(self.weights.items())
+        return iter(getattr(self, self._entries).items())
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self} on {self.space.name!r}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class State(_UnitValued):
+    """A distribution on a space: exact weights in [0, 1] summing to 1."""
+
+    weights: Mapping[Element, Fraction]
+
+    _entries, _word, _sums_to_one = "weights", "weight", True
 
     def support(self) -> tuple[Element, ...]:
         return tuple(x for x, k in zip(self.space.elements, self._nums) if k)
@@ -263,43 +267,17 @@ class State:
     def __str__(self) -> str:
         return render_state(self)
 
-    def __repr__(self) -> str:
-        return f"<State {self} on {self.space.name!r}>"
 
-
-@dataclass(frozen=True)
-class Predicate:
+@dataclass(frozen=True, eq=False, repr=False)
+class Predicate(_UnitValued):
     """A fuzzy predicate: each element gets a truth value in [0, 1]."""
 
-    space: Space
     values: Mapping[Element, Fraction]
-    # integer form: values[x] == _nums[i] / _den, in space order
-    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _checked_init(self, "values", "value", is_state=False)
-
-    __eq__ = _same_integer_form
-
-    @classmethod
-    def _from_integers(cls, space: Space, nums: Sequence[int], den: int) -> Predicate:
-        """The predicate with values nums[i] / den (den > 0), validated."""
-        _check_numerators(space, nums, den, "value", is_state=False)
-        return _from_checked(cls, space, nums, den, "values")
-
-    def __call__(self, element: Element) -> Fraction:
-        self.space.require(element)
-        return self.values[element]
-
-    def items(self) -> Iterator[tuple[Element, Fraction]]:
-        return iter(self.values.items())
+    _entries, _word, _sums_to_one = "values", "value", False
 
     def __str__(self) -> str:
         return render_predicate(self)
-
-    def __repr__(self) -> str:
-        return f"<Predicate {self} on {self.space.name!r}>"
 
 
 def _collect_entries(

@@ -77,10 +77,6 @@ class DegenerateEvent(SoftbayesError):
     """An all-things-considered update hit an event of mass 0 or 1."""
 
 
-class DegenerateDenominator(SoftbayesError):
-    """A Bayes-factor update produced a zero normalisation constant."""
-
-
 class ZeroMass(SoftbayesError):
     """A brute-force table was conditioned down to total mass 0."""
 

@@ -733,7 +733,11 @@ class _Parser:
         return QueryDecl(name.text, expr, line=kw.line, value=value)
 
     def parse_expr(self) -> QueryExpr:
-        tok = self.expect("IDENT", "a name or operation")
+        tok = self.tokens[self.pos]
+        if tok.text in DECL_KEYWORDS and self.tokens[self.pos + 1].kind == "IDENT":
+            # a keyword and a name start the next declaration: resume there
+            raise self.fail(tok, f"expected a name or operation, got {tok.text!r}")
+        self.expect("IDENT", "a name or operation")
         if self.tokens[self.pos].kind != "LPAREN":
             return NameRef(tok.text, tok.line, tok.column)
         op = OPERATIONS.get(tok.text)

@@ -47,7 +47,6 @@ from .core import (
     validity,
 )
 from .errors import (
-    DegenerateDenominator,
     DegenerateEvent,
     DivisionBySupportGap,
     EmptyBlockWithMass,
@@ -292,14 +291,12 @@ def nec_update(omega: State, event: Iterable[Element], factor) -> State:
         raise ValueOutOfRange(f"Bayes factor must be positive, got {k}")
     members, inside, outside = _event_masses(omega, event)
     m, n = k.numerator, k.denominator
-    denom = m * inside + n * outside
-    if denom == 0:
-        raise DegenerateDenominator("event split has total weighted mass 0")
     nums = [
         (m if x in members else n) * a
         for x, a in zip(omega.space.elements, omega._nums)
     ]
-    return State._from_integers(omega.space, nums, denom)
+    # inside + outside is omega's denominator and m, n >= 1: the total is >= 1
+    return State._from_integers(omega.space, nums, m * inside + n * outside)
 
 
 def blend_update(s, jr: State, pr: State) -> State:

@@ -452,8 +452,12 @@ class TestSweep:
              "error: cannot invert: predicted state has weight 0 at v\n"),
             ("misses_u", "elsewhere", [], "r,jeffrey,pearl\n",
              "error: inversion: space 'z' is not space 'x'\n"),
+            ("misses_u", "nope", [], "", "error: no state named 'nope'\n"),
         ],
-        ids=["gap-y1", "gap-y1-decimal", "gap-y2", "gap-y2-decimal", "mismatch"],
+        ids=[
+            "gap-y1", "gap-y1-decimal", "gap-y2", "gap-y2-decimal", "mismatch",
+            "unknown-prior",
+        ],
     )
     def test_failure_prints_partial_csv_then_exits_one(
         self, capsys, tmp_path, channel, prior, decimal, expected_out, expected_err
@@ -524,21 +528,22 @@ class TestCheck:
 
 class TestUsage:
     @pytest.mark.parametrize(
-        "command, flags",
+        "command, flags, message",
         [
-            ("sweep", ["--steps", "0"]),
-            ("sweep", ["--decimal", "-3"]),
-            ("sweep", ["--decimal", "0"]),
-            ("check", ["--instances", "0"]),
-            ("check", ["--instances", "-5"]),
+            ("sweep", ["--steps", "0"], "positive integer"),
+            ("sweep", ["--decimal", "-3"], "positive integer"),
+            ("sweep", ["--decimal", "0"], "positive integer"),
+            ("check", ["--instances", "0"], "positive integer"),
+            ("check", ["--instances", "-5"], "positive integer"),
+            ("sweep", ["--steps", "x"], "invalid integer: 'x'"),
         ],
         ids=[
             "steps-0", "decimal-negative", "decimal-0", "instances-0",
-            "instances-negative",
+            "instances-negative", "steps-x",
         ],
     )
     def test_nonpositive_counts_rejected_before_output(
-        self, capsys, disease_file, command, flags
+        self, capsys, disease_file, command, flags, message
     ):
         argv = {
             "sweep": ["sweep", disease_file, "--channel", "sens", "--prior",
@@ -550,7 +555,7 @@ class TestUsage:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "positive integer" in captured.err
+        assert message in captured.err
 
     def test_eval_decimal_must_be_positive(self, capsys, disease_file):
         with pytest.raises(SystemExit) as exc:

@@ -162,6 +162,26 @@ class TestIntegerForm:
         with pytest.raises(WeightSumNotOne, match=message):
             State._from_integers(self.SP, (3, 2), 6)
 
+    def test_predicate_values_need_not_sum_to_one(self):
+        with pytest.raises(WeightSumNotOne, match=r"^weights sum to 5/4, expected 1$"):
+            State._from_integers(self.SP, (3, 2), 4)
+        pred = Predicate._from_integers(self.SP, (3, 2), 4)
+        assert pred == Predicate(self.SP, {"d": F(3, 4), "~d": F(1, 2)})
+
+    @pytest.mark.parametrize(
+        "cls, word", [(State, "weight"), (Predicate, "value")],
+        ids=["state", "predicate"],
+    )
+    def test_lookup_and_entry_checks_on_both_types(self, cls, word):
+        """The behaviour States and Predicates share, on each of them."""
+        half = cls(self.SP, {"d": F(1, 2), "~d": F(1, 2)})
+        assert half("~d") == F(1, 2)
+        assert list(half.items()) == [("d", F(1, 2)), ("~d", F(1, 2))]
+        with pytest.raises(UnknownElement, match="^'zz' is not an element of space"):
+            half("zz")
+        with pytest.raises(ValueOutOfRange, match=rf"^{word} 3/2 at d lies outside"):
+            cls._from_integers(self.SP, (3, -1), 2)
+
     def test_integer_form_is_canonical_and_invisible(self):
         public = State(self.SP, {"d": F(1, 4), "~d": F(3, 4)})
         kernel = State._from_integers(self.SP, [6, 18], 24)
@@ -542,6 +562,13 @@ class TestProductAndMarginal:
         with pytest.raises(NotAProductSpace):
             marginal(prior, "first")
 
+    def test_marginal_names_first_or_second(self, disease):
+        _, _, _, prior, _, _ = disease
+        tau = product_state(prior, prior)
+        message = "^which must be 'first' or 'second', got 'third'$"
+        with pytest.raises(ValueError, match=message):
+            marginal(tau, "third")
+
     def test_nary_products_nest_left_associatively(self):
         a = Space("a", ("a0", "a1"))
         b = Space("b", ("b0", "b1"))
@@ -628,3 +655,8 @@ class TestRendering:
         # ties round to even on the exact rational
         assert render_decimal(F(1, 8), 2) == "0.12"
         assert render_decimal(F(3, 8), 2) == "0.38"
+
+    @pytest.mark.parametrize("digits", [0, -2])
+    def test_decimal_rendering_needs_a_digit(self, digits):
+        with pytest.raises(ValueError, match="^digits must be >= 1$"):
+            render_decimal(F(1, 3), digits)

@@ -425,6 +425,19 @@ class TestParse:
                 "3:33: error: 'a,w' is not an element here",
             ),
             ("space r = { a, b, a }", "3:7: error: space 'r' lists an element twice"),
+            (  # a keyword and a name start the next declaration
+                "query q =\nspace r = { a }\nstate p : r = { a: 1 }",
+                "4:1: error: expected a name or operation, got 'space'",
+            ),
+            (
+                "query q = blend(1/2,\nstate p : s = { a: 1 }",
+                "4:1: error: expected a name or operation, got 'state'",
+            ),
+            (  # a keyword with no name after it still reads as a name
+                "channel c : s -> t = { a: { u: 1 }, b: { v: 1 } }\n"
+                "query q = transform(c, state)",
+                "4:24: error: query 'q' at q/transform.arg1: unknown name 'state'",
+            ),
         ],
     )
     def test_list_and_argument_diagnostics(self, declaration, diagnostic):

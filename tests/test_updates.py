@@ -333,6 +333,14 @@ class TestNecUpdate:
         with pytest.raises(ValueOutOfRange):
             nec_update(prior, {"d"}, F(0))
 
+    @pytest.mark.parametrize("event", [{"d"}, {"~d"}, {"d", "~d"}])
+    def test_event_of_mass_zero_or_one_leaves_a_point_mass(self, disease, event):
+        """The normaliser m * inside + n * outside is at least the prior's
+        denominator, so even a side of prior mass 0 normalises."""
+        prior = point_mass(disease[0], "~d")
+        for factor in (F(1, 1000), F(1), F(1000)):
+            assert nec_update(prior, event, factor) == prior
+
 
 class TestBlendUpdate:
     def test_endpoints(self, disease):
@@ -349,6 +357,12 @@ class TestBlendUpdate:
         mixed = blend_update(F(1, 2), jr, pr)
         assert mixed("d") == F(1, 2) * F(27162, 220311) + F(1, 2) * F(148, 4702)
         assert mixed("d") == F(4453382, 57550129)
+
+    @pytest.mark.parametrize("s", ["3/2", "-1/2"])
+    def test_weight_must_lie_in_unit_interval(self, disease, s):
+        _, _, _, prior, _, _ = disease
+        with pytest.raises(ValueOutOfRange, match=rf"^blend weight {s} lies outside"):
+            blend_update(s, prior, prior)
 
 
 class TestTotalVariation:
