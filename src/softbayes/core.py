@@ -315,7 +315,6 @@ def make_predicate(space: Space, values) -> Predicate:
 
 def point_mass(space: Space, element: Element) -> State:
     """The Dirac state 1|element>."""
-    space.require(element)
     return State(space, {element: ONE})
 
 
@@ -335,17 +334,12 @@ def truth(space: Space) -> Predicate:
 
 def point(space: Space, element: Element) -> Predicate:
     """The point predicate 1_y: 1 at the given element, 0 elsewhere."""
-    space.require(element)
     return Predicate(space, {element: ONE})
 
 
 def indicator(space: Space, subset: Iterable[Element]) -> Predicate:
     """The sharp indicator 1_E of an event (a subset of the space)."""
-    values: dict[Element, Fraction] = {}
-    for x in subset:
-        space.require(x)
-        values[x] = ONE
-    return Predicate(space, values)
+    return Predicate(space, dict.fromkeys(subset, ONE))
 
 
 def conjunction(p: Predicate, q: Predicate) -> Predicate:

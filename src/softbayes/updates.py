@@ -21,8 +21,11 @@ the natural precondition for partition-style updates.
 Also here: the event-based softness specifications ("all things
 considered" posterior validity and "nothing else considered" Bayes
 factor), the convex blend of the two rules, total variation distance,
-and state/predicate conversions.  States and predicates stay distinct
-types throughout; the conversions are explicit.
+and state/predicate conversions.  Both event forms condition the prior
+on a two-valued predicate {E: a, not-E: b}: ATC on the ratio predicate
+of Jeffrey's rule on the partition {E, not-E}, NEC on the factor
+predicate {E: k, not-E: 1}.  States and predicates stay distinct types
+throughout; the conversions are explicit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +153,17 @@ def jeffrey_update(
     _require_support(
         c, predicted, [j for j, k in enumerate(r) if k] if relaxed else range(len(r))
     )
-    big = lcm(*(t for k, t in zip(r, predicted) if k))
-    ratio = [k * (big // t) if k else 0 for k, t in zip(r, predicted)]
+    ratio, big = _ratio_numerators(r, predicted)
     return State._from_integers(
         c.domain, core._pulled_back(w, rows, ratio), rho._den * big
     )
+
+
+def _ratio_numerators(r: Sequence[int], t: Sequence[int]) -> tuple[list[int], int]:
+    """The ratio predicate r / t in integers: r_y * D / t_y (0 where r_y is 0)
+    and D, the lcm of t_y where r_y > 0, each of which must be positive."""
+    big = lcm(*(t_y for r_y, t_y in zip(r, t) if r_y))
+    return [r_y * (big // t_y) if r_y else 0 for r_y, t_y in zip(r, t)], big
 
 
 def forward_inference(sigma: State, c: Channel, p: Predicate) -> State:
@@ -188,22 +196,15 @@ def state_to_predicate_ratio(rho: State, tau: State) -> Predicate:
     Jeffrey posterior.  Undefined where rho is positive but tau is 0.
     """
     core._require_same_space(rho.space, tau.space, "state ratio")
-    ratios: dict[Element, Fraction] = {}
-    for y in rho.space.elements:
-        t = tau.weights[y]
-        r = rho.weights[y]
-        if t == 0:
-            if r > 0:
-                raise DivisionBySupportGap(
-                    f"ratio undefined: evidence has mass at "
-                    f"{render_element(y)} where the prediction has none"
-                )
-            ratios[y] = ZERO
-        else:
-            ratios[y] = r / t
-    peak = max(ratios.values())
+    for y, r, t in zip(rho.space.elements, rho._nums, tau._nums):
+        if r and not t:
+            raise DivisionBySupportGap(
+                f"ratio undefined: evidence has mass at "
+                f"{render_element(y)} where the prediction has none"
+            )
     # rho sums to 1, so some ratio is positive whenever tau is a state
-    return Predicate(rho.space, {y: q / peak for y, q in ratios.items()})
+    ratio, _ = _ratio_numerators(rho._nums, tau._nums)
+    return Predicate._from_integers(rho.space, ratio, max(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -234,69 +235,63 @@ def partition_jeffrey(f: Channel, omega: State, rho: State) -> State:
         ) from None
 
 
-def _event_masses(
-    omega: State, event: Iterable[Element]
-) -> tuple[frozenset, int, int]:
-    """The event's members and its prior numerator mass inside and outside,
-    over omega's denominator."""
-    members = frozenset(event)
-    if not members:
+def _event_members(omega: State, event: Iterable[Element]) -> frozenset:
+    """The event's elements, checked in the order listed so that the first
+    unknown one is named."""
+    listed = tuple(event)
+    if not listed:
         raise DegenerateEvent("event must be a nonempty set of elements")
-    for x in members:
+    for x in listed:
         omega.space.require(x)
-    inside = sum(
-        k for x, k in zip(omega.space.elements, omega._nums) if x in members
-    )
-    return members, inside, omega._den - inside
+    return frozenset(listed)
+
+
+def _event_predicate(omega: State, members: frozenset, a: int, b: int) -> Predicate:
+    """The two-valued predicate {E: a, not-E: b} / max(a, b) on omega's space."""
+    values = [a if x in members else b for x in omega.space.elements]
+    return Predicate._from_integers(omega.space, values, max(a, b))
 
 
 def atc_update(omega: State, event: Iterable[Element], strength) -> State:
     """"All things considered": prescribe the posterior validity of an event.
 
     The result gives the event total mass exactly ``strength``, scaling
-    inside and outside the event separately (Jeffrey on the two-block
-    partition).  Degenerate when the needed side of the partition has
-    prior mass 0.
+    inside and outside the event separately: Jeffrey on the two-block
+    partition {E, not-E}, computed as conditioning on its ratio predicate
+    {E: q / inside, not-E: (1 - q) / outside}.  Degenerate when the needed
+    side of the partition has prior mass 0.
     """
     q = as_fraction(strength)
     if q < 0 or q > 1:
         raise ValueOutOfRange(f"strength {q} lies outside [0, 1]")
-    members, inside, outside = _event_masses(omega, event)
+    members = _event_members(omega, event)
+    inside = sum(k for x, k in zip(omega.space.elements, omega._nums) if x in members)
+    outside = omega._den - inside
     if q > 0 and inside == 0:
         raise DegenerateEvent(f"event has prior mass 0 but target validity {q}")
     if q < 1 and outside == 0:
         raise DegenerateEvent(
             f"event complement has prior mass 0 but target validity {q}"
         )
-    # q = m / n: inside gets m * a_x / inside, outside (n - m) * a_x / outside;
-    # an empty side carries no weight, so 1 stands in for its mass
     m, n = q.numerator, q.denominator
-    inside, outside = inside or 1, outside or 1
-    nums = [
-        (m * outside if x in members else (n - m) * inside) * a
-        for x, a in zip(omega.space.elements, omega._nums)
-    ]
-    return State._from_integers(omega.space, nums, n * inside * outside)
+    (a, b), _ = _ratio_numerators((m, n - m), (inside, outside))
+    return condition(omega, _event_predicate(omega, members, a, b))
 
 
 def nec_update(omega: State, event: Iterable[Element], factor) -> State:
     """"Nothing else considered": weigh an event by a Bayes factor k > 0.
 
-    Multiplies mass inside the event by k and renormalises; equivalent to
-    Pearl's rule with the two-valued predicate {E: 1, not-E: 1/k} (scaled
-    into [0, 1] when k < 1, which conditioning ignores anyway).
+    Multiplies mass inside the event by k and renormalises: Pearl's rule
+    with the two-valued factor predicate {E: k, not-E: 1}, computed as
+    conditioning on it scaled into [0, 1] by its maximum.
     """
     k = as_fraction(factor)
     if k <= 0:
         raise ValueOutOfRange(f"Bayes factor must be positive, got {k}")
-    members, inside, outside = _event_masses(omega, event)
-    m, n = k.numerator, k.denominator
-    nums = [
-        (m if x in members else n) * a
-        for x, a in zip(omega.space.elements, omega._nums)
-    ]
-    # inside + outside is omega's denominator and m, n >= 1: the total is >= 1
-    return State._from_integers(omega.space, nums, m * inside + n * outside)
+    members = _event_members(omega, event)
+    return condition(
+        omega, _event_predicate(omega, members, k.numerator, k.denominator)
+    )
 
 
 def blend_update(s, jr: State, pr: State) -> State:
@@ -359,15 +354,10 @@ def atc_report(omega: State, event: Iterable[Element], strength) -> tuple:
 
 
 def nec_report(omega: State, event: Iterable[Element], factor) -> tuple:
-    """The two-valued predicate {E: 1, not-E: 1/k} Pearl's rule would take,
-    scaled into [0, 1] as {E: k, not-E: 1} when k < 1."""
-    members = frozenset(event)
+    """The factor predicate {E: k, not-E: 1}, scaled into [0, 1], that
+    ``nec_update`` conditions on."""
     k = as_fraction(factor)
-    inside, outside = (ONE, ONE / k) if k >= 1 else (k, ONE)
-    equivalent = Predicate(
-        omega.space,
-        {x: inside if x in members else outside for x in omega.space.elements},
-    )
+    equivalent = _event_predicate(omega, frozenset(event), k.numerator, k.denominator)
     return (("prior", omega), ("equivalent predicate", equivalent))
 
 

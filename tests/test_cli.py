@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from softbayes import netspec, updates
+from softbayes import core, netspec, updates
 from softbayes.cli import build_parser, corpus_names, corpus_source, main
+from softbayes.errors import UnknownElement
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "softbayes" / "corpus"
@@ -471,6 +472,31 @@ class TestSweep:
             "--target", "a" if prior == "pr" else "p", "--steps", "4", *decimal,
         )
         assert (code, out, err) == (1, expected_out, expected_err)
+
+
+DISEASE = core.Space("disease", ("d", "~d"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core.point_mass(DISEASE, "zz"),
+        lambda: core.point(DISEASE, "zz"),
+        lambda: core.indicator(DISEASE, ["d", "zz", "yy"]),
+        lambda: main([
+            "sweep", str(CORPUS / "disease.netspec"), "--channel", "sens",
+            "--prior", "prior", "--target", "zz",
+        ]),
+    ],
+    ids=["point_mass", "point", "indicator", "sweep"],
+)
+def test_unknown_element_is_named_in_the_space_words(capsys, call):
+    """Each names the first unknown element as ``Space.require`` words it."""
+    try:
+        code, err = call(), capsys.readouterr().err
+    except UnknownElement as exc:
+        code, err = 1, f"error: {exc}\n"
+    assert (code, err) == (1, "error: 'zz' is not an element of space 'disease'\n")
 
 
 class TestExamples:

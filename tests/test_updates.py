@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -41,6 +42,7 @@ from softbayes.errors import (
     EmptyBlockWithMass,
     NotDeterministic,
     NotFullSupport,
+    UnknownElement,
     ValueOutOfRange,
     ZeroValidity,
 )
@@ -201,6 +203,27 @@ class TestStateToPredicateRatio:
         with pytest.raises(DivisionBySupportGap):
             state_to_predicate_ratio(rho, tau)
 
+    def test_matches_the_fraction_definition_on_random_pairs(self):
+        """Against r/t divided by its maximum, 0 where t is 0; where rho has
+        mass at a gap of tau, the first such element is named."""
+        rng = random.Random(20261019)
+        rejected = 0
+        for _ in range(300):
+            sp = random_space(rng, "y")
+            rho, tau = random_state(rng, sp), random_state(rng, sp)
+            gaps = [y for y in sp if rho(y) and not tau(y)]
+            if gaps:
+                rejected += 1
+                message = f"^ratio undefined: evidence has mass at {gaps[0]} where"
+                with pytest.raises(DivisionBySupportGap, match=message):
+                    state_to_predicate_ratio(rho, tau)
+                continue
+            ratios = {y: rho(y) / tau(y) if tau(y) else F(0) for y in sp}
+            peak = max(ratios.values())
+            expected = make_predicate(sp, {y: r / peak for y, r in ratios.items()})
+            assert state_to_predicate_ratio(rho, tau) == expected
+        assert 0 < rejected < 300
+
 
 class TestStatePredicateConversions:
     def test_state_to_predicate_keeps_weights(self, disease):
@@ -335,11 +358,21 @@ class TestNecUpdate:
 
     @pytest.mark.parametrize("event", [{"d"}, {"~d"}, {"d", "~d"}])
     def test_event_of_mass_zero_or_one_leaves_a_point_mass(self, disease, event):
-        """The normaliser m * inside + n * outside is at least the prior's
-        denominator, so even a side of prior mass 0 normalises."""
+        """The factor predicate is positive everywhere, so even a side of
+        prior mass 0 normalises."""
         prior = point_mass(disease[0], "~d")
         for factor in (F(1, 1000), F(1), F(1000)):
             assert nec_update(prior, event, factor) == prior
+
+
+@pytest.mark.parametrize("update", [atc_update, nec_update])
+def test_event_forms_name_the_first_unknown_element_listed(update):
+    sp = Space("xy", ("x", "y"))
+    for listed in permutations(["zz", "yy", "xx", "ww"]):
+        with pytest.raises(UnknownElement) as err:
+            update(uniform_state(sp), ["x", *listed], F(1, 2))
+        assert err.value.element == listed[0]
+        assert str(err.value) == f"'{listed[0]}' is not an element of space 'xy'"
 
 
 class TestBlendUpdate:
@@ -489,6 +522,18 @@ class TestEvidenceAndReports:
         nec = dict(nec_report(prior, {"b", "g"}, F(4)))
         assert nec["prior"] == prior
         assert nec["equivalent predicate"]("r") == F(1, 4)
+
+    def test_nec_report_predicate_is_what_nec_conditions_on(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            sp = random_space(rng, "x")
+            prior = random_state(rng, sp)
+            event = rng.sample(sp.elements, rng.randint(1, len(sp)))
+            factor = F(rng.randint(1, 30), rng.randint(1, 30))
+            working = dict(nec_report(prior, event, factor))
+            assert condition(prior, working["equivalent predicate"]) == nec_update(
+                prior, event, factor
+            )
 
     def test_blend_report(self, disease):
         _, test_sp, _, prior, sens, _ = disease
