@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import core, netspec, oracle, sampling, updates
 from .core import render_decimal, render_fraction, render_state
-from .errors import NonBinaryEvidenceSpace, SoftbayesError, UnknownElement
+from .errors import SoftbayesError, UnknownElement
 from .netspec import NetspecError
 
 EXIT_OK = 0
@@ -93,43 +93,15 @@ def cmd_sweep(args) -> int:
     if args.prior not in env.states:
         raise UnknownElement(f"no state named {args.prior!r}")
     prior = env.states[args.prior]
-    if len(channel.codomain) != 2:
-        raise NonBinaryEvidenceSpace(
-            f"sweep needs a binary evidence space, {channel.codomain.name!r} "
-            f"has {len(channel.codomain)} elements"
-        )
-    target = args.target
-    prior.space.require(target)
-    y1, y2 = channel.codomain.elements
+    rows = updates.evidence_sweep(prior, channel, args.target, args.steps)
     fmt = (
         (lambda q: render_decimal(q, args.decimal))
         if args.decimal
         else render_fraction
     )
     print("r,jeffrey,pearl")
-    # For binary evidence both rules mix the same two inverted rows d1, d2:
-    # Jeffrey(r) = blend(r, d1, d2), and Pearl(r) = blend(s, d1, d2) with
-    # s = r*tau1 / (r*tau1 + (1-r)*tau2), tau = c >> sigma.  So invert once,
-    # where the prediction has weight, and blend twice per step.  Jeffrey's
-    # inversion is relaxed: it needs d1 only when r > 0 and d2 only when r < 1,
-    # so at an endpoint both rules collapse to conditioning on that point.
-    w, rows, predicted = updates._prediction(channel, prior)
-    supported = [j for j, t in enumerate(predicted) if t]
-    inverted = updates._inverted_rows(channel, w, rows, predicted, supported)
-    # where the prediction misses y there is no row y, and any step that
-    # would weigh it fails the support check first: the other row stands in
-    d1 = inverted.get(y1, inverted.get(y2))
-    d2 = inverted.get(y2, d1)
-    t1, t2 = predicted
-    n = args.steps
-    for i in range(n + 1):
-        needed = [j for j, k in enumerate((i, n - i)) if k]
-        updates._require_support(channel, predicted, needed)
-        r = Fraction(i, n)
-        jeff = updates.blend_update(r, d1, d2)
-        s = Fraction(i * t1, i * t1 + (n - i) * t2)
-        pearl = updates.blend_update(s, d1, d2)
-        print(f"{fmt(r)},{fmt(jeff.weights[target])},{fmt(pearl.weights[target])}")
+    for r, jeffrey, pearl in rows:
+        print(f"{fmt(r)},{fmt(jeffrey)},{fmt(pearl)}")
     return EXIT_OK
 
 
@@ -269,7 +241,7 @@ def _conditioning_agrees(prior, joint, p) -> bool:
         return True
     direct = core.condition(prior, p)
     weights = {(x, y): p.values[x] for (x, y) in joint.mass}
-    return direct == oracle.x_marginal(oracle.oracle_condition(joint, weights))
+    return direct == oracle.conditioned_x_marginal(joint, weights)
 
 
 def cmd_check(args) -> int:

@@ -564,24 +564,56 @@ def marginal(tau: State, which: str) -> State:
 # rendering (the canonical golden-test representation)
 
 
-# Digits per chunk when printing an integer: below CPython's int/str limit
+# Below this an integer prints with str(): under CPython's int/str limit
 # (4300 digits by default), which stays in force because it guards parsing.
-_CHUNK_DIGITS = 4000
-_CHUNK = 10**_CHUNK_DIGITS
+_SMALL = 10**4000
+# Bit-length at which the divide-and-conquer printing stops splitting.
+_SPLIT_BITS = 128
 
 
 def _int_text(n: int) -> str:
-    """Decimal text of an integer of any size."""
-    if -_CHUNK < n < _CHUNK:
+    """Decimal text of an integer of any size.
+
+    Past ``_SMALL`` the integer is converted to an exact ``decimal.Decimal``
+    by divide and conquer, as CPython 3.12's ``_pylong.int_to_decimal`` does:
+    the high half of its bits times a power of two plus the low half, each
+    power of two computed once.  ``decimal`` multiplies large numbers in
+    subquadratic time, so printing a million digits takes under a second,
+    where dividing off fixed-size chunks takes time quadratic in the digits.
+    """
+    if -_SMALL < n < _SMALL:
         return str(n)
-    if n < 0:
-        return "-" + _int_text(-n)
-    chunks = []
-    while n:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(low)
-    head = str(chunks.pop())
-    return head + "".join(str(c).zfill(_CHUNK_DIGITS) for c in reversed(chunks))
+    import decimal  # only here: no import cost for ordinary numbers
+
+    two = decimal.Decimal(2)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        """2**w, kept: the same exponents recur at every level."""
+        result = powers.get(w)
+        if result is None:
+            if w <= _SPLIT_BITS:
+                result = two**w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:  # the smaller half first, so the larger hits ``w - 1``
+                result = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(k: int, w: int) -> decimal.Decimal:
+        """k, of at most w bits, as a Decimal."""
+        if w <= _SPLIT_BITS:
+            return decimal.Decimal(k)
+        half = w >> 1
+        high = k >> half
+        return convert(k - (high << half), half) + convert(high, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:  # exact: any rounding would trap
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def render_fraction(q: Fraction) -> str:

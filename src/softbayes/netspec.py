@@ -343,7 +343,7 @@ class Token(NamedTuple):
     text: str
     line: int
     column: int
-    value: Optional[Fraction] = None  # for NUMBER
+    value: Optional[Fraction] = None  # for NUMBER; None where it was rejected
 
 
 # One match per token: the layout before it (blanks, newlines, comments),
@@ -410,7 +410,7 @@ def tokenize(source: str) -> tuple[list[Token], list[ParseDiagnostic]]:
                 diagnostics.append(
                     ParseDiagnostic("error", line, col, "zero denominator", number)
                 )
-                value = Fraction(0)
+                value = None
             except ValueError:
                 diagnostics.append(
                     ParseDiagnostic(
@@ -419,7 +419,7 @@ def tokenize(source: str) -> tuple[list[Token], list[ParseDiagnostic]]:
                         number,
                     )
                 )
-                value = Fraction(0)
+                value = None
             tokens.append(_new_token(Token, ("NUMBER", number, line, col, value)))
             pos += len(number)
         elif bad:
@@ -460,7 +460,9 @@ class _Parser:
         self.depth = 0  # calls and element pairs open at the current token
         self.diagnostics: list[ParseDiagnostic] = []
         self.env = Environment()  # every declaration accepted so far
-        self.fault = None  # the current declaration's first fault core raised
+        # the current declaration's first fault: (token, message) for one
+        # core raised, () for a number literal the tokenizer rejected
+        self.fault = None
 
     # -- token plumbing ----------------------------------------------------
 
@@ -495,6 +497,15 @@ class _Parser:
             shown = tok.text if tok.kind != "EOF" else "end of file"
             raise self.fail(tok, f"expected {what}, got {shown!r}")
         self.pos += 1  # no caller expects EOF, so this never passes it
+        return tok
+
+    def number(self, what: str) -> Token:
+        """The next token, a number literal.  One the tokenizer rejected has
+        no value and is already reported: it faults the declaration, so that
+        nothing is built or checked from it."""
+        tok = self.expect("NUMBER", what)
+        if tok.value is None and self.fault is None:
+            self.fault = ()
         return tok
 
     def expect_ident(self, what: str) -> Token:
@@ -578,6 +589,8 @@ class _Parser:
                 decl = getattr(self, f"parse_{tok.text}")()
                 if self.fault:  # reported only once the declaration parses
                     raise self.fail(*self.fault)
+                if self.fault is not None:  # the tokenizer reported it
+                    raise _Recover
             except _Recover:
                 self.depth = 0
                 self.synchronise()
@@ -653,7 +666,7 @@ class _Parser:
             tok = self.tokens[self.pos]
             element = self.parse_element()
             self.expect("COLON", "':'")
-            num = self.expect("NUMBER", "a rational number")
+            num = self.number("a rational number")
             return element, num.value, tok, num
 
         return self.parse_braced(entry)
@@ -762,14 +775,13 @@ class _Parser:
             if which.text not in ("first", "second"):
                 raise self.fail(which, "expected 'first' or 'second'")
             return which.text
-        tok = self.tokens[self.pos]
-        if kind == SCALAR and tok.kind == "NUMBER":
-            self.pos += 1
-            if tok.value > 1:  # a literal is never negative
+        if kind == SCALAR and self.tokens[self.pos].kind == "NUMBER":
+            tok = self.number("a rational number")
+            if tok.value is not None and tok.value > 1:  # never negative
                 raise self.fail(tok, f"scalar {tok.text} lies outside [0, 1]")
             return tok.value
         if kind == FACTOR:
-            num = self.expect("NUMBER", "a positive rational")
+            num = self.number("a positive rational")
             if num.value == 0:  # a literal is never negative
                 raise self.fail(num, f"Bayes factor must be positive, got {num.text}")
             return num.value

@@ -6,16 +6,23 @@ renormalising, and summing raw rationals.  None of the transformation
 operators from the main library are used — that independence is the
 point, since test suites compare both routes for exact equality.
 
+Every sum is exact and taken once: the summands are put over the lcm of
+their denominators and their integer numerators added.  Conditioning
+followed by the X-marginal, the route of Pearl's rule, is one pass over
+the cells that weighs each, sums per x and divides by the total once.
 An inverted-channel row is the joint conditioned on the point evidence
 1_y, which is column y renormalised, so it is computed from that column
-alone and kept on its table.  Otherwise deliberately unoptimised; tables
-are tiny in every intended use.
+alone and kept on its table.  The tables stay materialised and every
+value is enumerated: only the arithmetic is shared, never a formula of
+the main library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,6 +30,29 @@ from .core import Channel, Element, Space, State
 from .errors import ZeroMass
 
 ZERO = Fraction(0)
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over the lcm of their denominators."""
+    values = list(values)
+    # a list, not a generator: on CPython 3.11, 12,000 calls unpacking a
+    # generator into lcm left about 2 MB allocated, and a list leaves none
+    big = lcm(*[v.denominator for v in values])
+    return [v.numerator * (big // v.denominator) for v in values], big
+
+
+def _exact_sum(values) -> Fraction:
+    """The sum of fractions: their numerators over one lcm, added as integers."""
+    nums, big = _over_lcm(values)
+    return Fraction(sum(nums), big)
+
+
+def _shares(keys, nums: list[int]) -> dict:
+    """Each key's integer mass over the total mass, exactly."""
+    total = sum(nums)
+    if total == 0:
+        raise ZeroMass("weighted joint table has total mass 0")
+    return {key: Fraction(k, total) for key, k in zip(keys, nums)}
 
 
 @dataclass(frozen=True)
@@ -36,20 +66,21 @@ class JointTable:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # one subset test per axis; only when one fails are the cells walked
-        # for membership, so the first faulty cell still decides the error
+        # one subset test per axis and one sign test; only when one fails are
+        # the cells walked, so the first faulty cell still decides the error
         known = self.domain._members.issuperset(
             [x for x, _ in self.mass]
         ) and self.codomain._members.issuperset([y for _, y in self.mass])
-        total = ZERO
-        for (x, y), m in self.mass.items():
-            if not known:
-                self.domain.require(x)
-                self.codomain.require(y)
-            if m < 0:
-                raise ZeroMass(f"negative mass at ({x}, {y})")
-            total += m
-        if total != 1:
+        nums, big = _over_lcm(self.mass.values())
+        if not known or min(nums, default=0) < 0:
+            for (x, y), k in zip(self.mass, nums):
+                if not known:
+                    self.domain.require(x)
+                    self.codomain.require(y)
+                if k < 0:
+                    raise ZeroMass(f"negative mass at ({x}, {y})")
+        if sum(nums) != big:
+            total = Fraction(sum(nums), big)
             raise ZeroMass(f"joint mass sums to {total}, expected 1")
         full = {
             (x, y): self.mass.get((x, y), ZERO)
@@ -69,37 +100,64 @@ def joint_of(sigma: State, c: Channel) -> JointTable:
     return JointTable(sigma.space, c.codomain, mass)
 
 
+def _weighed(
+    joint: JointTable, weight: Mapping[tuple[Element, Element], Fraction]
+) -> list[int]:
+    """Every cell times its weight, in cell order, as integer numerators over
+    one denominator; ZeroMass at the first negative one."""
+    masses, _ = _over_lcm(joint.mass.values())
+    weights, _ = _over_lcm([weight[xy] for xy in joint.mass])
+    weighed = list(map(mul, masses, weights))
+    if min(weighed) < 0:
+        x, y = next(xy for xy, v in zip(joint.mass, weighed) if v < 0)
+        raise ZeroMass(f"negative mass at ({x}, {y})")
+    return weighed
+
+
+def _summed(space: Space, pairs, nums: list[int], axis: int) -> dict[Element, int]:
+    """Integer masses summed per element of ``space``, the ``axis`` of each pair."""
+    sums = dict.fromkeys(space.elements, 0)
+    for pair, k in zip(pairs, nums):
+        sums[pair[axis]] += k
+    return sums
+
+
 def oracle_condition(
     joint: JointTable, weight: Mapping[tuple[Element, Element], Fraction]
 ) -> JointTable:
     """Reweigh every cell and renormalise exactly."""
-    weighted = {xy: m * weight[xy] for xy, m in joint.mass.items()}
-    total = sum(weighted.values(), ZERO)
-    if total == 0:
-        raise ZeroMass("weighted joint table has total mass 0")
     return JointTable(
-        joint.domain, joint.codomain, {xy: m / total for xy, m in weighted.items()}
+        joint.domain, joint.codomain, _shares(joint.mass, _weighed(joint, weight))
     )
 
 
+def conditioned_x_marginal(
+    joint: JointTable, weight: Mapping[tuple[Element, Element], Fraction]
+) -> State:
+    """``x_marginal(oracle_condition(joint, weight))`` in one pass: each cell
+    weighed, the cells summed per x, and each sum divided by their total."""
+    sums = _summed(joint.domain, joint.mass, _weighed(joint, weight), 0)
+    return State(joint.domain, _shares(sums, list(sums.values())))
+
+
+def _marginal(space: Space, joint: JointTable, axis: int) -> State:
+    nums, big = _over_lcm(joint.mass.values())
+    sums = _summed(space, joint.mass, nums, axis)
+    return State(space, {e: Fraction(k, big) for e, k in sums.items()})
+
+
 def x_marginal(joint: JointTable) -> State:
-    weights = {x: ZERO for x in joint.domain.elements}
-    for (x, _y), m in joint.mass.items():
-        weights[x] += m
-    return State(joint.domain, weights)
+    return _marginal(joint.domain, joint, 0)
 
 
 def y_marginal(joint: JointTable) -> State:
-    weights = {y: ZERO for y in joint.codomain.elements}
-    for (_x, y), m in joint.mass.items():
-        weights[y] += m
-    return State(joint.codomain, weights)
+    return _marginal(joint.codomain, joint, 1)
 
 
 def oracle_pearl(joint: JointTable, q_values: Mapping[Element, Fraction]) -> State:
     """Backward inference by enumeration: weigh each cell by q(y), marginalise."""
     weight = {(x, y): q_values[y] for (x, y) in joint.mass}
-    return x_marginal(oracle_condition(joint, weight))
+    return conditioned_x_marginal(joint, weight)
 
 
 def oracle_dagger_row(joint: JointTable, y: Element) -> State:
@@ -112,12 +170,9 @@ def oracle_dagger_row(joint: JointTable, y: Element) -> State:
     row = joint._rows.get(y)
     if row is None:
         joint.codomain.require(y)
-        column = {x: joint.mass[x, y] for x in joint.domain.elements}
-        total = sum(column.values(), ZERO)
-        if total == 0:
-            raise ZeroMass("weighted joint table has total mass 0")
+        column, _ = _over_lcm(joint.mass[x, y] for x in joint.domain.elements)
         row = joint._rows[y] = State(
-            joint.domain, {x: m / total for x, m in column.items()}
+            joint.domain, _shares(joint.domain.elements, column)
         )
     return row
 
@@ -128,17 +183,21 @@ def oracle_jeffrey(joint: JointTable, rho: State) -> State:
     For each y with rho(y) > 0, condition the joint on 1_y, take the
     X-marginal, and mix the results with weights rho(y).
     """
-    weights = {x: ZERO for x in joint.domain.elements}
+    parts = []
     for y in joint.codomain.elements:
         r = rho.weights[y]
         if r == 0:
             continue
         try:
-            row = oracle_dagger_row(joint, y)
+            parts.append((r, oracle_dagger_row(joint, y)))
         except ZeroMass:
             raise ZeroMass(
                 f"evidence has mass {r} at {y!r} but the joint has none there"
             )
-        for x, w in row.weights.items():
-            weights[x] += r * w
-    return State(joint.domain, weights)
+    return State(
+        joint.domain,
+        {
+            x: _exact_sum(r * row.weights[x] for r, row in parts)
+            for x in joint.domain.elements
+        },
+    )

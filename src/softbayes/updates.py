@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import core
 from .core import (
@@ -53,6 +53,7 @@ from .errors import (
     DegenerateEvent,
     DivisionBySupportGap,
     EmptyBlockWithMass,
+    NonBinaryEvidenceSpace,
     NotDeterministic,
     NotFullSupport,
     ValueOutOfRange,
@@ -307,6 +308,49 @@ def blend_update(s, jr: State, pr: State) -> State:
         [jw * j + pw * p for j, p in zip(jr._nums, pr._nums)],
         n * jr._den * pr._den,
     )
+
+
+def evidence_sweep(
+    sigma: State, c: Channel, target: Element, steps: int
+) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Both rules at ``target`` as the evidence on a binary codomain {y1, y2}
+    moves from y2 to y1: rows (r, Jeffrey, Pearl) for r = i / steps,
+    i = 0..steps, Jeffrey's evidence the state {y1: r, y2: 1 - r} (relaxed)
+    and Pearl's the predicate with the same values.
+
+    The codomain and target are checked at once; each row is computed as it
+    is read, so a space mismatch, or a gap in the prediction that a step's
+    evidence needs, raises at that row, after the rows before it.
+    """
+    if len(c.codomain) != 2:
+        raise NonBinaryEvidenceSpace(
+            f"sweep needs a binary evidence space, {c.codomain.name!r} "
+            f"has {len(c.codomain)} elements"
+        )
+    sigma.space.require(target)
+    return _sweep_rows(sigma, c, sigma.space.elements.index(target), steps)
+
+
+def _sweep_rows(sigma: State, c: Channel, t: int, n: int):
+    # Both rules mix the two inverted rows d_y = joint(t, y) / tau_y, in
+    # integers j_y / t_y.  Jeffrey(r) = r * d1 + (1 - r) * d2; Pearl's
+    # posterior is the joint weighed by q and renormalised, which at t is
+    # (i * j1 + (n - i) * j2) / (i * t1 + (n - i) * t2).
+    w, rows, predicted = _prediction(c, sigma)
+    (j1, j2), (t1, t2) = [w[t] * k for k in rows[t]], predicted
+    # where the prediction misses y there is no row y, and any step that
+    # would weigh it fails the support check first: the other row stands in
+    if not t1:
+        j1, t1 = j2, t2
+    if not t2:
+        j2, t2 = j1, t1
+    for i in range(n + 1):
+        _require_support(c, predicted, [j for j, k in enumerate((i, n - i)) if k])
+        yield (
+            Fraction(i, n),
+            Fraction(i * j1 * t2 + (n - i) * j2 * t1, n * t1 * t2),
+            Fraction(i * j1 + (n - i) * j2, i * t1 + (n - i) * t2),
+        )
 
 
 def total_variation(sigma: State, other: State) -> Fraction:

@@ -267,9 +267,32 @@ class TestEval:
         literal = "1" * 5000  # past Python's int/str digit limit
         f.write_text(f"space s = {{ a, b }}\nstate p : s = {{ a: {literal}, b: 0 }}\n")
         code, out, err = run(capsys, "eval", str(f), "p")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("2:20: error: number literal too long")
+        assert (code, out, err) == (
+            2, "", "2:20: error: number literal too long (5000 characters)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "declaration, expected",
+        [
+            ("state p : s = { a: 1/0, b: 1/2 }", "2:20: error: zero denominator"),
+            ("channel p : s -> s = { a: { a: 1/0 }, b: { b: 1 } }",
+             "2:32: error: zero denominator"),
+            ("state q : s = { a: 1/2, b: 1/2 }\nquery p = nec(q, {a}, 1/0)",
+             "3:23: error: zero denominator"),
+            ("state q : s = { a: 1/2, b: 1/2 }\nquery p = blend(1/0, q, q)",
+             "3:17: error: zero denominator"),
+        ],
+        ids=["state", "channel-row", "factor", "scalar"],
+    )
+    def test_rejected_literal_is_the_declarations_only_fault(
+        self, capsys, tmp_path, declaration, expected
+    ):
+        """Nothing is built or checked from a literal the tokenizer rejected,
+        so no second diagnostic follows from it."""
+        f = tmp_path / "zero.netspec"
+        f.write_text(f"space s = {{ a, b }}\n{declaration}\n")
+        code, out, err = run(capsys, "eval", str(f), "p")
+        assert (code, out, err) == (2, "", expected + "\n")
 
 
 class TestNameBinding:

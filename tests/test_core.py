@@ -35,7 +35,7 @@ from softbayes import (
     uniform_state,
     validity,
 )
-from softbayes import netspec, sampling
+from softbayes import core, netspec, sampling
 from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import (
     DuplicateElement,
@@ -647,6 +647,39 @@ class TestRendering:
             assert F(text) == q
         finally:
             set_limit(limit)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pytest.param(n, id=label)
+            for label, n in [
+                ("10^4000-1", 10**4000 - 1), ("10^4000", 10**4000),
+                ("10^4000+1", 10**4000 + 1), ("2^13288-1", 2**13288 - 1),
+                ("2^13288", 2**13288), ("10^20000-1", 10**20000 - 1),
+                ("7^30001", 7**30001),
+                *(
+                    (f"random-{bits}-bits",
+                     random.Random(bits).getrandbits(bits) | 1 << (bits - 1))
+                    for bits in (13289, 16383, 16384, 16385, 16513, 32767, 65537)
+                ),
+            ]
+        ],
+    )
+    def test_integer_text_equals_str_at_every_size(self, n):
+        """Past the size str() prints directly, the divide-and-conquer
+        conversion gives the same text, at sizes around each threshold:
+        the direct bound 10**4000 and the bit-lengths where the halving
+        meets its 128-bit base case."""
+        set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.11
+        limit = sys.get_int_max_str_digits() if set_limit else None
+        if set_limit:
+            set_limit(0)
+        try:
+            assert core._int_text(n) == str(n)
+            assert core._int_text(-n) == str(-n)
+        finally:
+            if set_limit:
+                set_limit(limit)
 
     def test_decimal_rendering_exact_rounding(self):
         assert render_decimal(F(117, 2000), 4) == "0.0585"

@@ -164,9 +164,17 @@ class TestTokenizer:
         source = "space s = { a, b }\nstate p : s = { a: 1, b: " + "0" * 5000 + " }\n"
         with pytest.raises(NetspecError) as err:
             load(source)
-        diag = err.value.diagnostics[0]
-        assert (diag.line, diag.column) == (2, 26)
-        assert str(diag) == "2:26: error: number literal too long (5000 characters)"
+        assert [str(d) for d in err.value.diagnostics] == [
+            "2:26: error: number literal too long (5000 characters)"
+        ]
+
+    def test_zero_denominator_is_the_declarations_only_fault(self):
+        source = "space s = { a, b }\nstate p : s = { a: 1/0, b: 1/2 }\n"
+        with pytest.raises(NetspecError) as err:
+            load(source)
+        assert [str(d) for d in err.value.diagnostics] == [
+            "2:20: error: zero denominator"
+        ]
 
 
 class TestParse:

@@ -28,6 +28,8 @@ from softbayes.errors import (
 )
 from softbayes.oracle import (
     JointTable,
+    _exact_sum,
+    conditioned_x_marginal,
     joint_of,
     oracle_condition,
     oracle_dagger_row,
@@ -92,6 +94,63 @@ class TestOracleCondition:
         weight = {xy: F(0) for xy in disease_joint.mass}
         with pytest.raises(ZeroMass):
             oracle_condition(disease_joint, weight)
+
+
+class TestOnePassConditioning:
+    """``conditioned_x_marginal`` is ``x_marginal`` of ``oracle_condition``,
+    computed in one pass with no second table."""
+
+    def test_equals_conditioning_then_marginalising(self):
+        rng = random.Random(20180513)
+        agreed = zero = 0
+        for i in range(300):
+            dom = sampling.random_space(rng, "x")
+            cod = sampling.random_space(rng, "y")
+            # small numerators make zero weights, and so empty columns, common
+            max_den = 2 if i % 2 else 20
+            sigma = sampling.random_state(rng, dom, max_den)
+            joint = joint_of(sigma, sampling.random_channel(rng, dom, cod, max_den))
+            weight = {
+                xy: F(rng.randint(0, max_den), max_den) if rng.random() < 0.5 else F(0)
+                for xy in joint.mass
+            }
+            try:
+                expected = x_marginal(oracle_condition(joint, weight))
+            except ZeroMass as exc:
+                with pytest.raises(ZeroMass) as raised:
+                    conditioned_x_marginal(joint, weight)
+                assert str(raised.value) == str(exc)
+                zero += 1
+            else:
+                assert conditioned_x_marginal(joint, weight) == expected
+                agreed += 1
+        assert agreed > 100 and zero > 20
+
+    def test_negative_weight_named_at_its_cell(self, disease_joint):
+        weight = {xy: F(1) for xy in disease_joint.mass}
+        weight["~d", "t"] = F(-1, 2)
+        weight["~d", "~t"] = F(-1)
+        for route in (oracle_condition, conditioned_x_marginal):
+            with pytest.raises(ZeroMass, match=r"^negative mass at \(~d, t\)$"):
+                route(disease_joint, weight)
+
+    def test_zero_total_named(self, disease_joint):
+        weight = {xy: F(0) for xy in disease_joint.mass}
+        with pytest.raises(ZeroMass, match="^weighted joint table has total mass 0$"):
+            conditioned_x_marginal(disease_joint, weight)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exact_sum_is_the_fraction_sum(self, seed):
+        rng = random.Random(seed)
+        values = [
+            F(rng.randint(-50, 50), rng.randint(1, 60))
+            for _ in range(rng.randint(0, 8))
+        ]
+        total = _exact_sum(values)
+        assert total == sum(values, F(0))
+        assert type(total) is F
+        assert _exact_sum(iter(values)) == total
+        assert _exact_sum(values[:0]) == sum([], F(0))
 
 
 class TestOracleJeffrey:
@@ -205,8 +264,8 @@ class TestDaggerRowIsItsColumn:
         oracle_dagger_row(joint, "t")
         oracle_dagger_row(joint, "~t")
         assert built == []
-        oracle_pearl(joint, {"t": F(1), "~t": F(1, 2)})  # conditions a table
-        assert built == [1]
+        oracle_pearl(joint, {"t": F(1), "~t": F(1, 2)})  # conditions in one pass
+        assert built == []
 
 
 # -- the update forms the oracle has no rule for, reduced to ones it has ------

@@ -46,6 +46,7 @@ from softbayes.oracle import (
     oracle_pearl,
     y_marginal,
 )
+from softbayes.updates import evidence_sweep
 from theorems import divergence_at_most, jeffrey_corrects, pearl_improves
 
 MAX_NUM = 20
@@ -349,11 +350,12 @@ class TestEventFormLaws:
 
 
 @st.composite
-def sparse_instance(draw):
+def sparse_instance(draw, two_valued=False):
     """(sigma, c, rho, q) with about half of all numerators 0, so zero prior
-    weights, zero predicate values and gaps in c >> sigma all occur."""
+    weights, zero predicate values and gaps in c >> sigma all occur; with
+    ``two_valued``, on a codomain of two elements."""
     dom = _space("x", draw(st.integers(2, 4)))
-    cod = _space("y", draw(st.integers(2, 4)))
+    cod = _space("y", 2 if two_valued else draw(st.integers(2, 4)))
     num = st.one_of(st.just(0), st.integers(1, MAX_NUM))
 
     def state(space):
@@ -401,6 +403,35 @@ class TestBinaryMixtureIdentity:
         s = r * t1 / (r * t1 + (1 - r) * t2)
         q = make_predicate(cod, {y1: r, y2: 1 - r})
         assert pearl_update(sigma, c, q) == blend_update(s, d1, d2)
+
+    @given(data=st.data())
+    def test_evidence_sweep_rows_are_both_rules_at_the_target(self, data):
+        """Each sweep row is the two rules' weight at the target for the
+        evidence {y1: r, y2: 1 - r}; a prediction gap ends the sweep at the
+        first step that needs it, as the relaxed Jeffrey update fails there."""
+        sigma, c, _, _ = data.draw(sparse_instance(two_valued=True))
+        target = data.draw(st.sampled_from(sigma.space.elements))
+        steps = data.draw(st.integers(1, 6))
+        y1, y2 = c.codomain.elements
+        rows = evidence_sweep(sigma, c, target, steps)
+        for i in range(steps + 1):
+            r = F(i, steps)
+            rho = State(c.codomain, {y1: r, y2: 1 - r})
+            try:
+                row = next(rows)
+            except NotFullSupport as exc:
+                with pytest.raises(NotFullSupport) as raised:
+                    jeffrey_update(sigma, c, rho, relaxed=True)
+                assert str(raised.value) == str(exc)
+                return
+            q = make_predicate(c.codomain, {y1: r, y2: 1 - r})
+            assert row == (
+                r,
+                jeffrey_update(sigma, c, rho, relaxed=True).weights[target],
+                pearl_update(sigma, c, q).weights[target],
+            )
+        with pytest.raises(StopIteration):
+            next(rows)
 
 
 class TestUpdateTheorems:

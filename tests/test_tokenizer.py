@@ -27,15 +27,16 @@ DIGITS = "0123456789"
 def _number_value(text: str):
     """(value, problem) of a number literal, decided digit string by digit
     string: any part past the interpreter's int/str limit is too long,
-    otherwise an all-zero denominator is a zero denominator."""
+    otherwise an all-zero denominator is a zero denominator.  A rejected
+    literal has no value."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     sep = "/" if "/" in text else "." if "." in text else None
     parts = text.split(sep) if sep else [text]
     if limit and any(len(part) > limit for part in parts):
-        return Fraction(0), f"number literal too long ({len(text)} characters)"
+        return None, f"number literal too long ({len(text)} characters)"
     if sep == "/":
         if int(parts[1]) == 0:
-            return Fraction(0), "zero denominator"
+            return None, "zero denominator"
         return Fraction(int(parts[0]), int(parts[1])), None
     if sep == ".":
         return Fraction(int(parts[0] + parts[1]), 10 ** len(parts[1])), None
