@@ -3,7 +3,8 @@
 The same networks the other demos build in Python ship as ``.netspec``
 files; this script loads one, evaluates its queries, shows how parse
 errors and ill-spaced queries are reported with positions, and
-round-trips the declarations through the canonical renderer.
+round-trips the declarations through the canonical renderer, which writes
+each one from its value: they parse back to equal values.
 """
 
 from softbayes.cli import corpus_source
@@ -40,7 +41,7 @@ def main() -> None:
                 print("  diagnostic:", diagnostic)
 
     decls = parse(source)
-    print("\ncanonical rendering round-trips structurally:",
+    print("\ndeclarations round-trip through the canonical rendering to equal values:",
           parse(render(decls)) == decls)
 
 

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import ModuleType
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 from . import core, errors, updates
 from .core import Channel, Element, Predicate, Space, State
@@ -66,62 +66,59 @@ class NetspecError(SoftbayesError):
 # ---------------------------------------------------------------------------
 # declarations (the parse result)
 
-SpaceRef = Union[str, tuple]  # declared name, or (left, right) inline product
+# A declaration is a name and the value parsing built for it (for a query,
+# its expression and checked form).  Equality compares both, and ``render``
+# writes the text back from the value.  ``keyword`` is the word it opens with.
 
-# ``value`` is the library value parsing built; it is not compared or shown.
 
 @dataclass(frozen=True)
 class SpaceDecl:
+    keyword: ClassVar[str] = "space"
     name: str
-    elements: tuple
-    line: int = field(compare=False, default=0)
-    value: Optional[Space] = field(compare=False, repr=False, default=None)
+    value: Space
 
 
 @dataclass(frozen=True)
 class StateDecl:
+    keyword: ClassVar[str] = "state"
     name: str
-    space: SpaceRef
-    weights: tuple  # ((element, Fraction), ...)
-    line: int = field(compare=False, default=0)
-    value: Optional[State] = field(compare=False, repr=False, default=None)
+    value: State
 
 
 @dataclass(frozen=True)
 class PredicateDecl:
+    keyword: ClassVar[str] = "predicate"
     name: str
-    space: SpaceRef
-    values: tuple
-    line: int = field(compare=False, default=0)
-    value: Optional[Predicate] = field(compare=False, repr=False, default=None)
+    value: Predicate
 
 
 @dataclass(frozen=True)
 class ChannelDecl:
+    keyword: ClassVar[str] = "channel"
     name: str
-    domain: SpaceRef
-    codomain: SpaceRef
-    rows: tuple  # ((element, ((element, Fraction), ...)), ...)
-    line: int = field(compare=False, default=0)
-    value: Optional[Channel] = field(compare=False, repr=False, default=None)
+    value: Channel
 
 
 @dataclass(frozen=True)
 class FunctionDecl:
+    keyword: ClassVar[str] = "function"
     name: str
-    domain: SpaceRef
-    codomain: SpaceRef
-    mapping: tuple  # ((element, element), ...)
-    line: int = field(compare=False, default=0)
-    value: Optional[Channel] = field(compare=False, repr=False, default=None)
+    value: Channel  # the lifted function: a point mass per domain element
 
 
 @dataclass(frozen=True)
 class QueryDecl:
+    """A query, checked as it closes: its expression, its static kind and
+    space info, and the expression with every name bound (see
+    ``check_expr``).  It is its own entry in ``Environment.queries``."""
+
+    keyword: ClassVar[str] = "query"
     name: str
     expr: "QueryExpr"
-    line: int = field(compare=False, default=0)
-    value: Optional[CompiledQuery] = field(compare=False, repr=False, default=None)
+    kind: str
+    info: object
+    # shared with every query that uses this one: too costly to compare or print
+    bound: object = field(compare=False, repr=False)
 
 
 Declaration = Union[
@@ -538,12 +535,13 @@ class _Parser:
 
     def build(self, make, args: tuple, at: Token, entries: list, words: tuple,
               spaces: tuple, whole: str = ""):
-        """``make(*args)``, a value from a ``core`` constructor, unless the
-        declaration already has a fault; a fault core raises becomes its
-        fault, as ``reject`` words it."""
+        """``make(*args, listing)``, a value from a ``core`` constructor and
+        the (key, value) pairs of ``entries``, unless the declaration already
+        has a fault; a fault core raises becomes its fault, as ``reject``
+        words it."""
         if self.fault is None:
             try:
-                return make(*args)
+                return make(*args, [entry[:2] for entry in entries])
             except SoftbayesError as exc:
                 self.fault = self.reject(exc, at, entries, words, spaces, whole)
         return None
@@ -595,7 +593,7 @@ class _Parser:
                 self.depth = 0
                 self.synchronise()
                 continue
-            getattr(self.env, _TABLES[tok.text])[decl.name] = decl.value
+            self.env.add(decl)
             decls.append(decl)
         return decls
 
@@ -608,14 +606,13 @@ class _Parser:
         return kw, name
 
     def parse_space(self) -> SpaceDecl:
-        kw, name = self.parse_header("space")
+        _, name = self.parse_header("space")
         self.expect("EQUALS", "'='")
-        elements = tuple(self.parse_braced(self.parse_element))
+        elements = self.parse_braced(self.parse_element)
         try:
-            space = core.Space(name.text, elements)
+            return SpaceDecl(name.text, core.Space(name.text, elements))
         except errors.DuplicateElement:
             raise self.fail(name, f"space {name.text!r} lists an element twice")
-        return SpaceDecl(name.text, elements, line=kw.line, value=space)
 
     def parse_element(self) -> Element:
         tok = self.tokens[self.pos]
@@ -630,15 +627,13 @@ class _Parser:
             return (left, right)
         return self.expect_ident("an element name").text
 
-    def parse_space_ref(self) -> tuple[SpaceRef, Space]:
-        """A declared space or an inline product: (reference, Space)."""
-        first = self.expect_ident("a space name")
-        left = self.resolve_space(first)
+    def parse_space_ref(self) -> Space:
+        """A declared space or an inline product of two."""
+        left = self.resolve_space(self.expect_ident("a space name"))
         if not self.accept("STAR"):
-            return first.text, left
-        second = self.expect_ident("a space name")
-        right = self.resolve_space(second)
-        return (first.text, second.text), core.product_space(left, right)
+            return left
+        right = self.resolve_space(self.expect_ident("a space name"))
+        return core.product_space(left, right)
 
     def resolve_space(self, tok: Token) -> Space:
         if tok.text not in self.env.spaces:
@@ -647,14 +642,13 @@ class _Parser:
 
     def parse_typed(self, kind: str) -> list:
         """``kind name : space =``, or ``... : space -> space =`` for a channel
-        or function: the keyword and name tokens, then each space's reference
-        and Space."""
+        or function: the keyword and name tokens, then each Space."""
         head = [*self.parse_header(kind)]
         self.expect("COLON", "':'")
-        head += self.parse_space_ref()
+        head.append(self.parse_space_ref())
         if kind in ("channel", "function"):
             self.expect("ARROW", "'->'")
-            head += self.parse_space_ref()
+            head.append(self.parse_space_ref())
         self.expect("EQUALS", "'='")
         return head
 
@@ -673,11 +667,11 @@ class _Parser:
 
     def parse_weighted(self, kind: str, make, words: tuple, decl):
         """``kind name : space = { elem: number, ... }``, a state or predicate."""
-        kw, name, ref, space = self.parse_typed(kind)
+        kw, name, space = self.parse_typed(kind)
         entries = self.parse_weights()
-        pairs = tuple(entry[:2] for entry in entries)
-        value = self.build(make, (space, pairs), kw, entries, words, (space, None))
-        return decl(name.text, ref, pairs, line=kw.line, value=value)
+        return decl(
+            name.text, self.build(make, (space,), kw, entries, words, (space, None))
+        )
 
     def parse_state(self) -> StateDecl:
         return self.parse_weighted("state", core.make_state, _WEIGHTS, StateDecl)
@@ -688,32 +682,27 @@ class _Parser:
         )
 
     def parse_channel(self) -> ChannelDecl:
-        kw, name, dom_ref, domain, cod_ref, codomain = self.parse_typed("channel")
+        kw, name, domain, codomain = self.parse_typed("channel")
 
         def row() -> tuple:  # core checks each row as it closes
             key = self.tokens[self.pos]
             element = self.parse_element()
             self.expect("COLON", "':'")
             entries = self.parse_weights()
-            pairs = tuple(entry[:2] for entry in entries)
             state = self.build(
-                core.make_state, (codomain, pairs), key, entries, _WEIGHTS,
+                core.make_state, (codomain,), key, entries, _WEIGHTS,
                 (codomain, None), f"row {core.render_element(element)}: ",
             )
-            return element, state, key, pairs
+            return element, state, key, None
 
         rows = self.parse_braced(row)
         value = self.build(
-            core.make_channel, (domain, codomain, [row[:2] for row in rows]), kw,
-            rows, _ROWS, (domain, None),
+            core.make_channel, (domain, codomain), kw, rows, _ROWS, (domain, None)
         )
-        return ChannelDecl(
-            name.text, dom_ref, cod_ref, tuple((row[0], row[3]) for row in rows),
-            line=kw.line, value=value,
-        )
+        return ChannelDecl(name.text, value)
 
     def parse_function(self) -> FunctionDecl:
-        kw, name, dom_ref, domain, cod_ref, codomain = self.parse_typed("function")
+        kw, name, domain, codomain = self.parse_typed("function")
 
         def arrow() -> tuple:
             source = self.tokens[self.pos]
@@ -723,27 +712,25 @@ class _Parser:
             return x, self.parse_element(), source, target
 
         entries = self.parse_braced(arrow)
-        mapping = tuple(entry[:2] for entry in entries)
         value = self.build(
-            core.lift_function, (domain, codomain, mapping), kw, entries, _ARROWS,
+            core.lift_function, (domain, codomain), kw, entries, _ARROWS,
             (domain, codomain),
         )
-        return FunctionDecl(
-            name.text, dom_ref, cod_ref, mapping, line=kw.line, value=value
-        )
+        return FunctionDecl(name.text, value)
 
     def parse_query(self) -> QueryDecl:
-        kw, name = self.parse_header("query")
+        _, name = self.parse_header("query")
         self.expect("EQUALS", "'='")
         expr = self.parse_expr()
         try:
-            value = CompiledQuery(*check_expr(expr, self.env, name.text, name.text))
+            return QueryDecl(
+                name.text, expr, *check_expr(expr, self.env, name.text, name.text)
+            )
         except SpaceMismatch as exc:  # placed at the Call or NameRef it names
             self.diagnostics.append(
                 ParseDiagnostic("error", exc.at.line, exc.at.column, str(exc))
             )
             raise _Recover from None
-        return QueryDecl(name.text, expr, line=kw.line, value=value)
 
     def parse_expr(self) -> QueryExpr:
         tok = self.tokens[self.pos]
@@ -804,7 +791,8 @@ def parse(source: str) -> list[Declaration]:
 
 
 # ---------------------------------------------------------------------------
-# rendering (canonical text; reparses to structurally equal declarations)
+# rendering (canonical text, written from the values; it parses back to
+# equal declarations)
 
 
 def _render_elem(x: Element) -> str:
@@ -813,17 +801,22 @@ def _render_elem(x: Element) -> str:
     return str(x)
 
 
-def _render_weights(pairs) -> str:
-    inner = ", ".join(
-        f"{_render_elem(x)}: {core.render_fraction(w)}" for x, w in pairs
+def _braced(items) -> str:
+    return "{ " + ", ".join(items) + " }"
+
+
+def _render_entries(value) -> str:
+    """A state's or predicate's listing: every element in space order, zero
+    entries included, as reduced fractions."""
+    return _braced(
+        f"{_render_elem(x)}: {core.render_fraction(w)}" for x, w in value.items()
     )
-    return "{ " + inner + " }"
 
 
-def _render_ref(ref: SpaceRef) -> str:
-    if isinstance(ref, tuple):
-        return f"{ref[0]} * {ref[1]}"
-    return ref
+def _render_space(space: Space) -> str:
+    if isinstance(space, core.ProductSpace):  # an inline product
+        return f"{space.left.name} * {space.right.name}"
+    return space.name
 
 
 def render_expr(expr) -> str:
@@ -839,57 +832,38 @@ def render_expr(expr) -> str:
 
 
 def render(decls: list[Declaration]) -> str:
+    """Canonical netspec text, one declaration a line, written from each
+    declaration's value (a query's from its expression), so that
+    ``parse(render(decls)) == decls``."""
     lines = []
     for decl in decls:
-        if isinstance(decl, SpaceDecl):
-            body = ", ".join(_render_elem(x) for x in decl.elements)
-            lines.append(f"space {decl.name} = {{ {body} }}")
-        elif isinstance(decl, StateDecl):
-            lines.append(
-                f"state {decl.name} : {_render_ref(decl.space)} = "
-                f"{_render_weights(decl.weights)}"
-            )
-        elif isinstance(decl, PredicateDecl):
-            lines.append(
-                f"predicate {decl.name} : {_render_ref(decl.space)} = "
-                f"{_render_weights(decl.values)}"
-            )
-        elif isinstance(decl, ChannelDecl):
-            rows = ", ".join(
-                f"{_render_elem(x)}: {_render_weights(pairs)}"
-                for x, pairs in decl.rows
-            )
-            lines.append(
-                f"channel {decl.name} : {_render_ref(decl.domain)} -> "
-                f"{_render_ref(decl.codomain)} = {{ {rows} }}"
-            )
-        elif isinstance(decl, FunctionDecl):
-            maps = ", ".join(
-                f"{_render_elem(a)} -> {_render_elem(b)}" for a, b in decl.mapping
-            )
-            lines.append(
-                f"function {decl.name} : {_render_ref(decl.domain)} -> "
-                f"{_render_ref(decl.codomain)} = {{ {maps} }}"
-            )
-        elif isinstance(decl, QueryDecl):
-            lines.append(f"query {decl.name} = {render_expr(decl.expr)}")
+        head = f"{decl.keyword} {decl.name}"
+        if isinstance(decl, QueryDecl):
+            body = render_expr(decl.expr)
+        elif isinstance(decl, SpaceDecl):
+            body = _braced(map(_render_elem, decl.value))
+        elif isinstance(decl, (StateDecl, PredicateDecl)):
+            head += f" : {_render_space(decl.value.space)}"
+            body = _render_entries(decl.value)
+        else:  # a channel, or a function read from its point-mass rows
+            c = decl.value
+            head += f" : {_render_space(c.domain)} -> {_render_space(c.codomain)}"
+            if isinstance(decl, FunctionDecl):
+                body = _braced(
+                    f"{_render_elem(x)} -> {_render_elem(row.support()[0])}"
+                    for x, row in c.rows.items()
+                )
+            else:
+                body = _braced(
+                    f"{_render_elem(x)}: {_render_entries(row)}"
+                    for x, row in c.rows.items()
+                )
+        lines.append(f"{head} = {body}")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # compilation
-
-
-@dataclass(frozen=True)
-class CompiledQuery:
-    """A checked query, as parsing leaves it on its ``QueryDecl``: its
-    static kind and space info, and its expression with every name bound
-    (see ``check_expr``)."""
-
-    kind: str
-    info: object
-    # shared with every query that uses this one: too costly to compare or print
-    bound: object = field(compare=False, repr=False)
 
 
 @dataclass
@@ -900,27 +874,30 @@ class Environment:
     states: dict[str, State] = field(default_factory=dict)
     predicates: dict[str, Predicate] = field(default_factory=dict)
     channels: dict[str, Channel] = field(default_factory=dict)
-    queries: dict[str, CompiledQuery] = field(default_factory=dict)
+    queries: dict[str, QueryDecl] = field(default_factory=dict)
+
+    def add(self, decl: Declaration) -> None:
+        """Enter ``decl`` under its name: a query as its checked declaration,
+        any other declaration as its value."""
+        table = getattr(self, _TABLES[decl.keyword])
+        table[decl.name] = decl if isinstance(decl, QueryDecl) else decl.value
 
 
 def compile_network(decls: list[Declaration]) -> Environment:
-    """Collect the values parsing built, a checked and bound
-    ``CompiledQuery`` for each query included, under their names.
+    """Collect the values parsing built, each query's checked and bound
+    declaration included, under their names.
 
     Parsing bound each query's names to what was declared before it, so
     a later declaration never changes an earlier query.
     """
     env = Environment()
-    tables = {SpaceDecl: env.spaces, StateDecl: env.states, ChannelDecl: env.channels,
-              FunctionDecl: env.channels, PredicateDecl: env.predicates,
-              QueryDecl: env.queries}
     for decl in decls:
-        tables[type(decl)][decl.name] = decl.value
+        env.add(decl)
     return env
 
 
 def _resolve(env: Environment, name: str, expected: Optional[str] = None):
-    """What a bare name means: (kind, space info, value or CompiledQuery).
+    """What a bare name means: (kind, space info, value or QueryDecl).
 
     The candidates are the query, state, channel and predicate of that
     name, in this order; the first of the expected kind wins, otherwise
@@ -956,7 +933,7 @@ def check_expr(
 
     Space info is the Space for states/predicates, a (domain, codomain)
     pair for channels, and None for scalars.  The bound expression is the
-    expression with each name replaced by the value or CompiledQuery it
+    expression with each name replaced by the value or QueryDecl it
     resolves to in ``env`` and each event by its elements; evaluation
     looks no name up again.  Any conflict, an unknown name included, raises
     SpaceMismatch naming the query and subexpression path; its ``at`` is
@@ -1041,10 +1018,10 @@ def evaluate(env: Environment, name: str) -> QueryResult:
             raise SpaceMismatch(f"{name!r} is a space, which has no value to evaluate")
         raise SpaceMismatch(f"no query or declaration named {name!r}")
     kind, _info, target = found
-    if not isinstance(target, CompiledQuery):
+    if not isinstance(target, QueryDecl):
         return QueryResult(name, kind, target)
     bound = target.bound
-    while isinstance(bound, CompiledQuery):  # an alias: follow it to its value
+    while isinstance(bound, QueryDecl):  # an alias: follow it to its value
         bound = bound.bound
     if not isinstance(bound, Call):  # the query names another value
         return QueryResult(name, kind, _eval_expr(bound))
@@ -1059,7 +1036,7 @@ def _eval_expr(bound, memo: Optional[dict] = None):
     The work goes in the order a recursive evaluation would take:
     arguments left to right, each before the call that uses it, so the
     first operation to fail is the same.  A call runs its operation's
-    kernel.  A CompiledQuery evaluates its own bound expression the first
+    kernel.  A QueryDecl evaluates its own bound expression the first
     time it is reached and keeps the value in ``memo``; every later use
     reads it.  The memo is keyed by ``id``, so it must not outlive the
     evaluation that creates it.  Anything else is already a value or a
@@ -1071,7 +1048,7 @@ def _eval_expr(bound, memo: Optional[dict] = None):
     todo: list = [(bound, False)]  # (node, whether its inputs are on values)
     while todo:
         node, ready = todo.pop()
-        if isinstance(node, CompiledQuery):
+        if isinstance(node, QueryDecl):
             if ready:
                 memo[id(node)] = values[-1]
             elif id(node) in memo:

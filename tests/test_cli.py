@@ -1,5 +1,6 @@
 """The command-line surface: output formats, exit codes, determinism."""
 
+import gc
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -546,6 +547,21 @@ class TestCheck:
         code_a, out_a, _ = run(capsys, "check", "--seed", "1", "--instances", "10")
         code_b, out_b, _ = run(capsys, "check", "--seed", "2", "--instances", "10")
         assert code_a == code_b == 0
+
+    def test_repeated_runs_keep_no_objects(self, capsys):
+        """Checks in one process keep nothing from run to run: after a
+        warm-up, 200 more leave the number of objects the collector tracks
+        within a small constant.  A rising peak RSS over such a loop is the
+        allocator holding freed memory, not a leak."""
+        for seed in range(20):
+            main(["check", "--seed", str(seed), "--instances", "5"])
+        gc.collect()
+        before = len(gc.get_objects())
+        for seed in range(200):
+            main(["check", "--seed", str(seed), "--instances", "5"])
+        gc.collect()
+        assert len(gc.get_objects()) - before < 50
+        assert capsys.readouterr().out.count(": ok\n") == 220
 
     @pytest.mark.parametrize(
         "kernel, message",

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softbayes import core, errors, updates
 from softbayes.cli import corpus_names, corpus_source
@@ -17,12 +18,15 @@ from softbayes.netspec import (
     Call,
     ChannelDecl,
     EventLiteral,
+    FunctionDecl,
     NameRef,
     NetspecError,
+    PredicateDecl,
     QueryDecl,
     SpaceDecl,
     StateDecl,
     check_expr,
+    compile_network,
     evaluate,
     load,
     _eval_expr,
@@ -74,7 +78,12 @@ class RandomQueries:
     ``nested`` may be a call, any other is a leaf.  With ``steer``, a name
     leaf may name a query, one in twenty is a space (an unknown name) or a
     name of any kind, and a call is drawn again, up to three times, while
-    the checker rejects it, so that deep well-spaced calls are common."""
+    the checker rejects it, so that deep well-spaced calls are common.
+    A product of more than ``MAX_PRODUCT`` elements is drawn again too,
+    and never returned: the checker builds a product's space, so products
+    of products would soon grow past any time budget."""
+
+    MAX_PRODUCT = 100
 
     def __init__(self, rng, env, recipes, nested, steer):
         self.rng, self.env, self.recipes, self.nested = rng, env, recipes, nested
@@ -86,7 +95,7 @@ class RandomQueries:
         self.strays = []
         if steer:
             for name, query in env.queries.items():
-                self.names[query.kind].append(name)
+                self.names.setdefault(query.kind, []).append(name)
             self.strays = [*env.spaces, *env.states, *env.predicates, *env.channels]
         spaces = [*env.spaces.values()] + [v.space for v in env.states.values()]
         self.elements = sorted({x for sp in spaces for x in sp.elements}, key=repr)
@@ -100,12 +109,25 @@ class RandomQueries:
             call = Call(op, tuple(
                 self.expr(k, depth - 1 if k in self.nested else 0) for k in kinds
             ))
+            if op == "product" and self.oversized(call):
+                call = self.leaf(kind)
+                continue
             try:
                 check_expr(call, self.env, "t", "t")
                 return call
             except SpaceMismatch:
                 pass
         return call
+
+    def oversized(self, call) -> bool:
+        """Whether product ``call`` has more than ``MAX_PRODUCT`` elements."""
+        size = 1
+        for arg in call.args:
+            try:
+                size *= len(check_expr(arg, self.env, "t", "t", "state")[1])
+            except SpaceMismatch:
+                return False  # the checker rejects the call
+        return size > self.MAX_PRODUCT
 
     def leaf(self, kind: str):
         rng = self.rng
@@ -127,6 +149,90 @@ class RandomQueries:
         if not isinstance(expr, Call):
             return set()
         return {expr.op}.union(*map(RandomQueries.ops, expr.args))
+
+
+def sample_network(rng, max_den: int = 6) -> list:
+    """A random network drawn in Python, as declarations: two or three
+    spaces, some of pair elements; states, predicates, channels and
+    functions on declared spaces and inline products, with entries k/den
+    for den <= ``max_den`` (zeros common); then queries drawn by
+    ``RandomQueries`` that the checker accepts, over all operations."""
+    spaces = []
+    for i in range(rng.randint(2, 3)):
+        elements = [
+            (f"e{i}{j}", f"v{j}") if rng.random() < 0.3
+            else rng.choice(("", "~")) + f"e{i}{j}"
+            for j in range(rng.randint(1, 3))
+        ]
+        spaces.append(core.Space(f"s{i}", elements))
+    decls = [SpaceDecl(sp.name, sp) for sp in spaces]
+    # one inline product among them, so that values often share a space
+    refs = [*spaces, core.product_space(rng.choice(spaces), rng.choice(spaces))]
+
+    def state(sp):
+        den = rng.randint(1, max_den)
+        cuts = sorted(rng.randint(0, den) for _ in range(len(sp) - 1))
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+        return core.State(sp, {x: F(k, den) for x, k in zip(sp, nums)})
+
+    def predicate(sp):
+        dens = [rng.randint(1, max_den) for _ in sp]
+        return core.Predicate(
+            sp, {x: F(rng.randint(0, d), d) for x, d in zip(sp, dens)}
+        )
+
+    # channels leave the spaces of priors; evidence lies on their codomains
+    priors = [state(rng.choice(refs)) for _ in range(rng.randint(1, 2))]
+    channels = []
+    for _ in range(rng.randint(1, 3)):
+        dom, cod = rng.choice(priors).space, rng.choice(refs)
+        channels.append(core.Channel(dom, cod, {x: state(cod) for x in dom}))
+    evidence = [rng.choice(channels).codomain for _ in range(rng.randint(1, 2))]
+    dom, cod = rng.choice(priors).space, rng.choice(refs)
+    function = core.lift_function(dom, cod, {x: rng.choice(cod.elements) for x in dom})
+    states = [*priors, state(evidence[0])]
+    decls += [
+        *(StateDecl(f"p{i}", v) for i, v in enumerate(states)),
+        *(PredicateDecl(f"q{i}", predicate(sp)) for i, sp in enumerate(evidence)),
+        *(ChannelDecl(f"c{i}", c) for i, c in enumerate(channels)),
+        FunctionDecl("f0", function),
+    ]
+    for i in range(rng.randint(3, 6)):
+        env = compile_network(decls)
+        queries = RandomQueries(rng, env, ALL_RECIPES, NESTED, steer=True)
+        for _ in range(20):  # until the checker accepts one
+            expr = queries.expr(rng.choice(list(ALL_RECIPES)), depth=3)
+            if not isinstance(expr, (Call, NameRef)):
+                continue  # a bare scalar literal is no query
+            try:
+                checked = check_expr(expr, env, f"r{i}", f"r{i}")
+            except SpaceMismatch:
+                continue
+            decls.append(QueryDecl(f"r{i}", expr, *checked))
+            break
+    return decls
+
+
+def as_decimals(text: str, rng) -> str:
+    """``text`` with some of its fractions written as the decimals they are."""
+
+    def decimal(match):
+        w = F(match.group())
+        places = next((j for j in range(1, 7) if 10**j % w.denominator == 0), None)
+        if places is None or rng.random() < 0.5:
+            return match.group()
+        digits = w.numerator * 10**places // w.denominator
+        return f"{digits // 10**places}.{digits % 10**places:0{places}d}"
+
+    return re.sub(r"\b\d+/\d+\b", decimal, text)
+
+
+def value_or_error(compute):
+    """``compute()``, or the type and text of the library error it raises."""
+    try:
+        return compute()
+    except errors.SoftbayesError as exc:
+        return type(exc), str(exc)
 
 
 class TestTokenizer:
@@ -184,7 +290,7 @@ class TestParse:
         assert isinstance(decls[0], SpaceDecl)
         assert isinstance(decls[2], StateDecl)
         assert isinstance(decls[3], ChannelDecl)
-        assert decls[2].weights == (("d", F(1, 100)), ("~d", F(99, 100)))
+        assert dict(decls[2].value.weights) == {"d": F(1, 100), "~d": F(99, 100)}
 
     def test_empty_file(self):
         assert parse("") == []
@@ -287,7 +393,7 @@ class TestParse:
 
     def test_decimal_exactness(self):
         decls = parse("space q = { e, ~e }\nstate p : q = { e: 0.000001, ~e: 0.999999 }")
-        weights = dict(decls[1].weights)
+        weights = decls[1].value.weights
         assert weights["e"] == F(1, 10**6)
 
     def test_channel_missing_row(self):
@@ -565,6 +671,50 @@ class TestRoundTrip:
         text = render(decls)
         assert "1/4" in text and "3/4" in text
         assert parse(text) == decls
+
+    def test_rendering_is_written_from_the_values(self):
+        source = (
+            "space s = { a, b, c }\nspace t = { u, ~u }\n"
+            "state p : s * t = { (a,u): 0.5, (c,~u): 2/4 }\n"
+            "function f : s -> t = { c -> u, a -> ~u, b -> u }\n"
+        )
+        assert render(parse(source)) == (
+            "space s = { a, b, c }\nspace t = { u, ~u }\n"
+            "state p : s * t = { (a,u): 1/2, (a,~u): 0, (b,u): 0, (b,~u): 0, "
+            "(c,u): 0, (c,~u): 1/2 }\n"
+            "function f : s -> t = { a -> ~u, b -> u, c -> u }\n"
+        )
+
+    def test_declarations_compare_their_values(self):
+        [_, first] = parse("space s = { a, b }\nstate p : s = { a: 1/2, b: 1/2 }")
+        [_, second] = parse("space s = { a, b }\nstate p : s = { a: 1/3, b: 2/3 }")
+        assert first != second
+
+    def test_sampled_networks_round_trip(self):
+        """A network drawn in Python renders to text that parses back to
+        equal declarations, also with some fractions written as decimals,
+        and each query of the loaded text evaluates to the value, or the
+        error, the drawn network gives.  The draws use every operation."""
+        ops = set()
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(st.integers(0, 2**32 - 1))
+        def round_trip(seed):
+            rng = random.Random(seed)
+            decls = sample_network(rng)
+            text = render(decls)
+            assert parse(text) == decls
+            assert parse(as_decimals(text, rng)) == decls
+            drawn, loaded = compile_network(decls), load(text)
+            for decl in decls:
+                if isinstance(decl, QueryDecl):
+                    ops.update(RandomQueries.ops(decl.expr))
+                    got = value_or_error(lambda: evaluate(loaded, decl.name).value)
+                    want = value_or_error(lambda: evaluate(drawn, decl.name).value)
+                    assert got == want, render([decl])
+
+        round_trip()
+        assert ops == set(OPERATIONS)
 
 
 class TestCompileAndEvaluate:
@@ -920,31 +1070,47 @@ class TestStaticSpaceCheck:
         evaluates without SpaceMismatch, to the value or error the checked
         expression gives, also through an alias and, for a state, nested in
         ``blend(1, x, x)``.  A query it rejects gives one diagnostic, the
-        checker's text, at the Call or NameRef that text names."""
+        checker's text, at the Call or NameRef that text names.  Besides two
+        corpus networks, the queries run on sampled networks with gaps:
+        priors with zero weights and channels that predict zeros, on which
+        the update rules' own faults are reached."""
         accepted, ops = 0, set()
         runs = [
-            ("disease.netspec", 4242, 300, UPDATE_RECIPES, {"state"}, False),
-            ("disease.netspec", 5151, 500, ALL_RECIPES, NESTED, True),
-            ("dietrich.netspec", 6262, 500, ALL_RECIPES, NESTED, True),
+            (corpus_source("disease.netspec"), 4242, 300, UPDATE_RECIPES, {"state"},
+             False),
+            (corpus_source("disease.netspec"), 5151, 500, ALL_RECIPES, NESTED, True),
+            (corpus_source("dietrich.netspec"), 6262, 500, ALL_RECIPES, NESTED, True),
         ]
-        for file, seed, count, recipes, nested, steer in runs:
-            network = corpus_source(file)
+        gaps = [
+            render(sample_network(random.Random(seed), max_den=2))
+            for seed in range(7000, 7008)
+        ]
+        runs += [(network, 1, 100, ALL_RECIPES, NESTED, True) for network in gaps]
+        raised = set()  # the error types evaluation gave on the sampled networks
+        for network, seed, count, recipes, nested, steer in runs:
             env = load(network)
             queries = RandomQueries(random.Random(seed), env, recipes, nested, steer)
             for _ in range(count):
                 expr = queries.expr(queries.rng.choice(list(recipes)), depth=3)
                 if not isinstance(expr, (Call, NameRef)):
                     continue  # a bare scalar literal is no query
-                if self.check_as_text(network, env, expr):
+                result = self.check_as_text(network, env, expr)
+                if result is not None:
                     accepted += 1
                     ops |= queries.ops(expr)
+                    if isinstance(result, tuple) and network in gaps:
+                        raised.add(result[0])
         assert accepted > 250  # the generators produce mostly well-spaced trees
         assert ops == set(OPERATIONS)
+        assert {
+            errors.NotFullSupport, errors.ZeroValidity, errors.DegenerateEvent
+        } <= raised
 
     @staticmethod
-    def check_as_text(network: str, env, expr) -> bool:
-        """Check ``expr`` as query text appended to ``network``; whether the
-        checker accepts it."""
+    def check_as_text(network: str, env, expr):
+        """Check ``expr`` as query text appended to ``network``: None if the
+        checker rejects it, else the value or (error type, text) the checked
+        expression gives."""
         text = render_expr(expr)
         source = f"{network}query t = {text}\n"
         try:
@@ -963,7 +1129,7 @@ class TestStaticSpaceCheck:
             line = source.splitlines()[-1]
             word = re.match(r"~?\w+\(?", line[diagnostic.column - 1:]).group()
             assert word == (f"{node.op}(" if isinstance(node, Call) else node.name)
-            return False
+            return None
 
         def outcome(value):
             try:
@@ -982,7 +1148,7 @@ class TestStaticSpaceCheck:
         expected = outcome(lambda: _eval_expr(bound))
         for name in names:
             assert outcome(lambda: evaluate(loaded, name).value) == expected, (name, text)
-        return True
+        return expected
 
     def test_corpus_queries_all_statically_checked_and_evaluable(self):
         for name in corpus_names():
