@@ -280,21 +280,20 @@ class Predicate(_UnitValued):
         return render_predicate(self)
 
 
-def _collect_entries(
-    space: Space, entries, what: str
-) -> dict[Element, Fraction]:
-    """Validate a weight/value listing: known elements, no duplicates."""
-    if isinstance(entries, Mapping):
-        entries = entries.items()
-    out: dict[Element, Fraction] = {}
-    for element, raw in entries:
-        space.require(element)
-        if element in out:
+def _listing(space: Space, listing, label: str, entry) -> dict:
+    """A listing, (key, value) pairs or a mapping, as a dict in listing
+    order: each key is required in ``space`` and rejected as ``label`` when
+    listed twice, before ``entry`` converts its value."""
+    if isinstance(listing, Mapping):
+        listing = listing.items()
+    out = {}
+    for x, value in listing:
+        space.require(x)
+        if x in out:
             raise DuplicateElement(
-                f"{what}: element {render_element(element)} listed twice",
-                element=element,
+                f"{label} {render_element(x)} listed twice", element=x
             )
-        out[element] = as_fraction(raw)
+        out[x] = entry(value)
     return out
 
 
@@ -304,13 +303,15 @@ def make_state(space: Space, weights) -> State:
     Unlisted elements get weight 0.  Raises UnknownElement,
     DuplicateElement, ValueOutOfRange, or WeightSumNotOne.
     """
-    return State(space, _collect_entries(space, weights, "state"))
+    return State(space, _listing(space, weights, "state: element", as_fraction))
 
 
 def make_predicate(space: Space, values) -> Predicate:
     """Build a predicate from (element, value) pairs or a mapping; unlisted
     elements get value 0."""
-    return Predicate(space, _collect_entries(space, values, "predicate"))
+    return Predicate(
+        space, _listing(space, values, "predicate: element", as_fraction)
+    )
 
 
 def point_mass(space: Space, element: Element) -> State:
@@ -427,18 +428,10 @@ class Channel:
 
 def make_channel(domain: Space, codomain: Space, rows) -> Channel:
     """Build a channel from a mapping or pairs element -> State or listing."""
-    if isinstance(rows, Mapping):
-        rows = rows.items()
-    built: dict[Element, State] = {}
-    for element, row in rows:
-        domain.require(element)
-        if element in built:
-            raise DuplicateElement(
-                f"channel: row for {render_element(element)} listed twice",
-                element=element,
-            )
-        built[element] = row if isinstance(row, State) else make_state(codomain, row)
-    return Channel(domain, codomain, built)
+    return Channel(domain, codomain, _listing(
+        domain, rows, "channel: row for",
+        lambda row: row if isinstance(row, State) else make_state(codomain, row),
+    ))
 
 
 def identity_channel(space: Space) -> Channel:
@@ -449,16 +442,9 @@ def identity_channel(space: Space) -> Channel:
 def lift_function(domain: Space, codomain: Space, f) -> Channel:
     """Turn a total function, a mapping or (source, target) pairs checked
     in turn, into a deterministic channel."""
-    if isinstance(f, Mapping):
-        f = f.items()
-    rows: dict[Element, State] = {}
-    for x, y in f:
-        domain.require(x)
-        if x in rows:
-            raise DuplicateElement(
-                f"function: mapping for {render_element(x)} listed twice", element=x
-            )
-        rows[x] = point_mass(codomain, y)
+    rows = _listing(
+        domain, f, "function: mapping for", lambda y: point_mass(codomain, y)
+    )
     for x in domain.elements:
         if x not in rows:
             raise UnknownElement(

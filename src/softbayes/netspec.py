@@ -66,44 +66,20 @@ class NetspecError(SoftbayesError):
 # ---------------------------------------------------------------------------
 # declarations (the parse result)
 
-# A declaration is a name and the value parsing built for it (for a query,
-# its expression and checked form).  Equality compares both, and ``render``
-# writes the text back from the value.  ``keyword`` is the word it opens with.
+# A declaration is the keyword it opens with, a name and the value parsing
+# built for it (for a query, its expression and checked form).  Equality
+# compares them, and ``render`` writes the text back from the value.
 
 
 @dataclass(frozen=True)
-class SpaceDecl:
-    keyword: ClassVar[str] = "space"
+class ValueDecl:
+    """A space, state, predicate, channel or function and its name; a
+    function's value is the lifted channel, a point mass per domain
+    element."""
+
+    keyword: str
     name: str
-    value: Space
-
-
-@dataclass(frozen=True)
-class StateDecl:
-    keyword: ClassVar[str] = "state"
-    name: str
-    value: State
-
-
-@dataclass(frozen=True)
-class PredicateDecl:
-    keyword: ClassVar[str] = "predicate"
-    name: str
-    value: Predicate
-
-
-@dataclass(frozen=True)
-class ChannelDecl:
-    keyword: ClassVar[str] = "channel"
-    name: str
-    value: Channel
-
-
-@dataclass(frozen=True)
-class FunctionDecl:
-    keyword: ClassVar[str] = "function"
-    name: str
-    value: Channel  # the lifted function: a point mass per domain element
+    value: Union[Space, State, Predicate, Channel]
 
 
 @dataclass(frozen=True)
@@ -121,9 +97,7 @@ class QueryDecl:
     bound: object = field(compare=False, repr=False)
 
 
-Declaration = Union[
-    SpaceDecl, StateDecl, PredicateDecl, ChannelDecl, FunctionDecl, QueryDecl
-]
+Declaration = Union[ValueDecl, QueryDecl]
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +109,6 @@ class NameRef:
     name: str
     line: int = field(compare=False, default=0)
     column: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class EventLiteral:
-    elements: tuple
 
 
 @dataclass(frozen=True)
@@ -238,6 +207,13 @@ def _update_space(prior_space, chan, evidence_space):
 
 
 def _product_space(left, right):
+    """The product space, refused before it is built when it would have
+    more than ``MAX_PRODUCT`` elements (also for an inline product)."""
+    size = len(left) * len(right)
+    if size > MAX_PRODUCT:
+        raise SpaceMismatch(
+            f"product space would have {size} elements, more than {MAX_PRODUCT}"
+        )
     return STATE, core.product_space(left, right)
 
 
@@ -329,6 +305,10 @@ DECL_KEYWORDS = frozenset(_TABLES)
 # every recursive pass over one declaration far inside the interpreter's
 # recursion limit.
 MAX_NESTING = 100
+# Most elements a product space may have, inline or a query's.  Parsing
+# builds every product space it meets: one of 2**16 pairs takes about 25 ms
+# and 7 MiB, one of 2**20 half a second and 120 MiB.
+MAX_PRODUCT = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +585,12 @@ class _Parser:
             raise self.fail(name, f"duplicate {kind} name {name.text!r}")
         return kw, name
 
-    def parse_space(self) -> SpaceDecl:
+    def parse_space(self) -> ValueDecl:
         _, name = self.parse_header("space")
         self.expect("EQUALS", "'='")
         elements = self.parse_braced(self.parse_element)
         try:
-            return SpaceDecl(name.text, core.Space(name.text, elements))
+            return ValueDecl("space", name.text, core.Space(name.text, elements))
         except errors.DuplicateElement:
             raise self.fail(name, f"space {name.text!r} lists an element twice")
 
@@ -629,11 +609,15 @@ class _Parser:
 
     def parse_space_ref(self) -> Space:
         """A declared space or an inline product of two."""
-        left = self.resolve_space(self.expect_ident("a space name"))
+        tok = self.expect_ident("a space name")
+        left = self.resolve_space(tok)
         if not self.accept("STAR"):
             return left
         right = self.resolve_space(self.expect_ident("a space name"))
-        return core.product_space(left, right)
+        try:
+            return _product_space(left, right)[1]
+        except SpaceMismatch as exc:
+            raise self.fail(tok, str(exc)) from None
 
     def resolve_space(self, tok: Token) -> Space:
         if tok.text not in self.env.spaces:
@@ -665,23 +649,22 @@ class _Parser:
 
         return self.parse_braced(entry)
 
-    def parse_weighted(self, kind: str, make, words: tuple, decl):
+    def parse_weighted(self, kind: str, make, words: tuple) -> ValueDecl:
         """``kind name : space = { elem: number, ... }``, a state or predicate."""
         kw, name, space = self.parse_typed(kind)
         entries = self.parse_weights()
-        return decl(
-            name.text, self.build(make, (space,), kw, entries, words, (space, None))
+        return ValueDecl(
+            kind, name.text,
+            self.build(make, (space,), kw, entries, words, (space, None)),
         )
 
-    def parse_state(self) -> StateDecl:
-        return self.parse_weighted("state", core.make_state, _WEIGHTS, StateDecl)
+    def parse_state(self) -> ValueDecl:
+        return self.parse_weighted("state", core.make_state, _WEIGHTS)
 
-    def parse_predicate(self) -> PredicateDecl:
-        return self.parse_weighted(
-            "predicate", core.make_predicate, _VALUES, PredicateDecl
-        )
+    def parse_predicate(self) -> ValueDecl:
+        return self.parse_weighted("predicate", core.make_predicate, _VALUES)
 
-    def parse_channel(self) -> ChannelDecl:
+    def parse_channel(self) -> ValueDecl:
         kw, name, domain, codomain = self.parse_typed("channel")
 
         def row() -> tuple:  # core checks each row as it closes
@@ -699,9 +682,9 @@ class _Parser:
         value = self.build(
             core.make_channel, (domain, codomain), kw, rows, _ROWS, (domain, None)
         )
-        return ChannelDecl(name.text, value)
+        return ValueDecl("channel", name.text, value)
 
-    def parse_function(self) -> FunctionDecl:
+    def parse_function(self) -> ValueDecl:
         kw, name, domain, codomain = self.parse_typed("function")
 
         def arrow() -> tuple:
@@ -716,7 +699,7 @@ class _Parser:
             core.lift_function, (domain, codomain), kw, entries, _ARROWS,
             (domain, codomain),
         )
-        return FunctionDecl(name.text, value)
+        return ValueDecl("function", name.text, value)
 
     def parse_query(self) -> QueryDecl:
         _, name = self.parse_header("query")
@@ -754,9 +737,9 @@ class _Parser:
         return Call(tok.text, tuple(args), tok.line, tok.column)
 
     def parse_arg(self, kind: str):
-        if kind == EVENT:
+        if kind == EVENT:  # the tuple of its elements
             elements = self.parse_braced(self.parse_element, "'{' starting an event")
-            return EventLiteral(tuple(elements))
+            return tuple(elements)
         if kind == WHICH:
             which = self.expect("IDENT", "'first' or 'second'")
             if which.text not in ("first", "second"):
@@ -822,8 +805,8 @@ def _render_space(space: Space) -> str:
 def render_expr(expr) -> str:
     if isinstance(expr, NameRef):
         return expr.name
-    if isinstance(expr, EventLiteral):
-        return "{" + ", ".join(_render_elem(x) for x in expr.elements) + "}"
+    if isinstance(expr, tuple):  # an event
+        return "{" + ", ".join(map(_render_elem, expr)) + "}"
     if isinstance(expr, Fraction):
         return core.render_fraction(expr)
     if isinstance(expr, str):
@@ -838,17 +821,17 @@ def render(decls: list[Declaration]) -> str:
     lines = []
     for decl in decls:
         head = f"{decl.keyword} {decl.name}"
-        if isinstance(decl, QueryDecl):
+        if decl.keyword == "query":
             body = render_expr(decl.expr)
-        elif isinstance(decl, SpaceDecl):
+        elif decl.keyword == "space":
             body = _braced(map(_render_elem, decl.value))
-        elif isinstance(decl, (StateDecl, PredicateDecl)):
+        elif decl.keyword in ("state", "predicate"):
             head += f" : {_render_space(decl.value.space)}"
             body = _render_entries(decl.value)
         else:  # a channel, or a function read from its point-mass rows
             c = decl.value
             head += f" : {_render_space(c.domain)} -> {_render_space(c.codomain)}"
-            if isinstance(decl, FunctionDecl):
+            if decl.keyword == "function":
                 body = _braced(
                     f"{_render_elem(x)} -> {_render_elem(row.support()[0])}"
                     for x, row in c.rows.items()
@@ -880,7 +863,7 @@ class Environment:
         """Enter ``decl`` under its name: a query as its checked declaration,
         any other declaration as its value."""
         table = getattr(self, _TABLES[decl.keyword])
-        table[decl.name] = decl if isinstance(decl, QueryDecl) else decl.value
+        table[decl.name] = decl if decl.keyword == "query" else decl.value
 
 
 def compile_network(decls: list[Declaration]) -> Environment:
@@ -934,22 +917,19 @@ def check_expr(
     Space info is the Space for states/predicates, a (domain, codomain)
     pair for channels, and None for scalars.  The bound expression is the
     expression with each name replaced by the value or QueryDecl it
-    resolves to in ``env`` and each event by its elements; evaluation
-    looks no name up again.  Any conflict, an unknown name included, raises
-    SpaceMismatch naming the query and subexpression path; its ``at`` is
-    the Call or NameRef at that path, where the parser reports it.
+    resolves to in ``env``; evaluation looks no name up again.  Any
+    conflict, an unknown name included, raises SpaceMismatch naming the
+    query and subexpression path; its ``at`` is the Call or NameRef at that
+    path, where the parser reports it.
     """
     if isinstance(expr, Call):
         op = OPERATIONS[expr.op]
         where = f"{path}/{expr.op}"
         infos, args = [], []
         for i, (kind, arg) in enumerate(zip(op.args, expr.args)):
+            info = arg  # a literal is its own space info
             if isinstance(arg, (NameRef, Call)):
                 _, info, arg = check_expr(arg, env, query, f"{where}.arg{i}", kind)
-            elif isinstance(arg, EventLiteral):
-                info = arg = arg.elements
-            else:
-                info = arg
             infos.append(info)
             args.append(arg)
         try:

@@ -96,10 +96,46 @@ class TestMakeState:
         with pytest.raises(UnknownElement):
             make_state(sp, {"q": F(1)})
 
-    def test_duplicate_listing(self):
-        sp = Space("disease", ("d", "~d"))
-        with pytest.raises(DuplicateElement):
-            make_state(sp, [("d", F(1, 2)), ("d", F(1, 2))])
+    # each builder: how it is called on a listing over S, the label of a
+    # repeated key, a valid entry and a faulty one
+    S, T = Space("s", ("a", "b")), Space("t", ("u",))
+    UNKNOWN = "'zz' is not an element of space 's'"
+    BUILDERS = {
+        "state": (make_state, "state: element", F(1, 2), 0.5),
+        "predicate": (make_predicate, "predicate: element", F(1, 2), 0.5),
+        "channel": (
+            lambda sp, rows: make_channel(sp, TestMakeState.T, rows),
+            "channel: row for", {"u": F(1)}, {"w": F(1)},
+        ),
+        "function": (
+            lambda sp, f: lift_function(sp, TestMakeState.T, f),
+            "function: mapping for", "u", "w",
+        ),
+    }
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    @pytest.mark.parametrize(
+        "keys, faulty, error, message",
+        [
+            (("a", "zz", "a"), None, UnknownElement, UNKNOWN),
+            (("a", "a", "zz"), None, DuplicateElement, "{label} a listed twice"),
+            (("a", "a"), 1, DuplicateElement, "{label} a listed twice"),
+            (("zz",), 0, UnknownElement, UNKNOWN),
+        ],
+        ids=["unknown-then-repeat", "repeat-then-unknown", "repeat-faulty-entry",
+             "unknown-faulty-entry"],
+    )
+    def test_duplicate_listing(self, builder, keys, faulty, error, message):
+        """Every builder reads its listing in order, each key before its
+        entry: the first faulty key decides the error, and a repeated key
+        is rejected before its entry is read (for a function, a repeated
+        source before an unknown target)."""
+        build, label, good, bad = self.BUILDERS[builder]
+        listing = [(key, bad if i == faulty else good) for i, key in enumerate(keys)]
+        with pytest.raises(error) as err:
+            build(self.S, listing)
+        assert type(err.value) is error
+        assert str(err.value) == message.format(label=label)
 
     def test_negative_weight(self):
         sp = Space("disease", ("d", "~d"))

@@ -9,22 +9,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softbayes import core, errors, updates
+from softbayes import core, errors, oracle, updates
 from softbayes.cli import corpus_names, corpus_source
-from softbayes.errors import SpaceMismatch
+from softbayes.errors import SpaceMismatch, ZeroMass
 from softbayes.netspec import (
     MAX_NESTING,
+    MAX_PRODUCT,
     OPERATIONS,
     Call,
-    ChannelDecl,
-    EventLiteral,
-    FunctionDecl,
     NameRef,
     NetspecError,
-    PredicateDecl,
     QueryDecl,
-    SpaceDecl,
-    StateDecl,
+    ValueDecl,
     check_expr,
     compile_network,
     evaluate,
@@ -138,7 +134,7 @@ class RandomQueries:
         if kind == "which":
             return rng.choice(("first", "second"))
         if kind == "event":
-            return EventLiteral(tuple(rng.sample(self.elements, rng.randint(1, 2))))
+            return tuple(rng.sample(self.elements, rng.randint(1, 2)))
         if self.strays and rng.random() < 0.05:
             return NameRef(rng.choice(self.strays))
         return NameRef(rng.choice(self.names[kind]))
@@ -165,7 +161,7 @@ def sample_network(rng, max_den: int = 6) -> list:
             for j in range(rng.randint(1, 3))
         ]
         spaces.append(core.Space(f"s{i}", elements))
-    decls = [SpaceDecl(sp.name, sp) for sp in spaces]
+    decls = [ValueDecl("space", sp.name, sp) for sp in spaces]
     # one inline product among them, so that values often share a space
     refs = [*spaces, core.product_space(rng.choice(spaces), rng.choice(spaces))]
 
@@ -192,10 +188,13 @@ def sample_network(rng, max_den: int = 6) -> list:
     function = core.lift_function(dom, cod, {x: rng.choice(cod.elements) for x in dom})
     states = [*priors, state(evidence[0])]
     decls += [
-        *(StateDecl(f"p{i}", v) for i, v in enumerate(states)),
-        *(PredicateDecl(f"q{i}", predicate(sp)) for i, sp in enumerate(evidence)),
-        *(ChannelDecl(f"c{i}", c) for i, c in enumerate(channels)),
-        FunctionDecl("f0", function),
+        *(ValueDecl("state", f"p{i}", v) for i, v in enumerate(states)),
+        *(
+            ValueDecl("predicate", f"q{i}", predicate(sp))
+            for i, sp in enumerate(evidence)
+        ),
+        *(ValueDecl("channel", f"c{i}", c) for i, c in enumerate(channels)),
+        ValueDecl("function", "f0", function),
     ]
     for i in range(rng.randint(3, 6)):
         env = compile_network(decls)
@@ -233,6 +232,101 @@ def value_or_error(compute):
         return compute()
     except errors.SoftbayesError as exc:
         return type(exc), str(exc)
+
+
+def reference_value(bound):
+    """The value of a bound expression (see ``check_expr``) worked out
+    independently of the kernels in ``core`` and ``updates``: by the
+    ``oracle``'s enumeration of joint tables, and otherwise by plain sums
+    of Fractions.  Where an operation is undefined it raises ``ZeroMass``,
+    the oracle's error, rather than the kernel's."""
+    while isinstance(bound, QueryDecl):
+        bound = bound.bound
+    if not isinstance(bound, Call):
+        return bound  # a value or a literal
+    return REFERENCE[bound.op](*map(reference_value, bound.args))
+
+
+def _total(terms) -> F:
+    return sum(terms, F(0))
+
+
+def _shares(space, masses: dict):
+    """The state proportional to ``masses``; ZeroMass when they are all 0."""
+    total = _total(masses.values())
+    if total == 0:
+        raise ZeroMass("no mass to normalise")
+    return core.State(space, {x: m / total for x, m in masses.items()})
+
+
+def _reference_jeffrey(sigma, c, rho):
+    """Jeffrey's rule needs the whole inverted channel, so every row of it
+    must exist, not only those the evidence touches."""
+    joint = oracle.joint_of(sigma, c)
+    for y in c.codomain:
+        oracle.oracle_dagger_row(joint, y)
+    return oracle.oracle_jeffrey(joint, rho)
+
+
+def _reference_atc(omega, event, q):
+    """Jeffrey's rule along the function onto the two blocks {E, not-E}."""
+    blocks = core.Space("blocks", ("in", "out"))
+    f = core.lift_function(
+        omega.space, blocks, {x: "in" if x in event else "out" for x in omega.space}
+    )
+    rho = core.State(blocks, {"in": q, "out": 1 - q})
+    return oracle.oracle_jeffrey(oracle.joint_of(omega, f), rho)
+
+
+def _reference_marginal(tau, which):
+    side = 0 if which == "first" else 1
+    space = tau.space.left if side == 0 else tau.space.right
+    return core.State(space, {
+        x: _total(w for pair, w in tau.weights.items() if pair[side] == x)
+        for x in space
+    })
+
+
+REFERENCE = {
+    "transform": lambda c, sigma: oracle.y_marginal(oracle.joint_of(sigma, c)),
+    "predtransform": lambda c, q: core.Predicate(c.domain, {
+        x: _total(c.rows[x].weights[y] * q.values[y] for y in c.codomain)
+        for x in c.domain
+    }),
+    "validity": lambda sigma, p: _total(
+        sigma.weights[x] * p.values[x] for x in sigma.space
+    ),
+    "condition": lambda sigma, p: _shares(
+        sigma.space, {x: sigma.weights[x] * p.values[x] for x in sigma.space}
+    ),
+    "compose": lambda d, c: core.Channel(c.domain, d.codomain, {
+        x: core.State(d.codomain, {
+            z: _total(c.rows[x].weights[y] * d.rows[y].weights[z] for y in c.codomain)
+            for z in d.codomain
+        })
+        for x in c.domain
+    }),
+    "dagger": lambda c, sigma: core.Channel(c.codomain, c.domain, {
+        y: oracle.oracle_dagger_row(joint, y)
+        for joint in [oracle.joint_of(sigma, c)] for y in c.codomain
+    }),
+    "pearl": lambda sigma, c, q: oracle.oracle_pearl(
+        oracle.joint_of(sigma, c), q.values
+    ),
+    "jeffrey": _reference_jeffrey,
+    "product": lambda s, t: core.State(core.product_space(s.space, t.space), {
+        (x, y): s.weights[x] * t.weights[y] for x in s.space for y in t.space
+    }),
+    "marginal": _reference_marginal,
+    "atc": _reference_atc,
+    "nec": lambda omega, event, k: oracle.oracle_pearl(
+        oracle.joint_of(omega, core.identity_channel(omega.space)),
+        {x: k if x in event else F(1) for x in omega.space},
+    ),
+    "blend": lambda s, jr, pr: core.State(jr.space, {
+        x: s * jr.weights[x] + (1 - s) * pr.weights[x] for x in jr.space
+    }),
+}
 
 
 class TestTokenizer:
@@ -287,9 +381,7 @@ class TestParse:
     def test_disease_network_parses_to_four_declarations(self):
         decls = parse(DISEASE_MINIMAL)
         assert len(decls) == 4
-        assert isinstance(decls[0], SpaceDecl)
-        assert isinstance(decls[2], StateDecl)
-        assert isinstance(decls[3], ChannelDecl)
+        assert [d.keyword for d in decls] == ["space", "space", "state", "channel"]
         assert dict(decls[2].value.weights) == {"d": F(1, 100), "~d": F(99, 100)}
 
     def test_empty_file(self):
@@ -427,7 +519,7 @@ class TestParse:
             "pearl", (NameRef("prior"), NameRef("sens"), NameRef("pos"))
         )
         assert decls[-1].expr == Call(
-            "atc", (NameRef("prior"), EventLiteral(("d",)), F(3, 10))
+            "atc", (NameRef("prior"), ("d",), F(3, 10))
         )
 
     def test_unknown_operation(self):
@@ -652,6 +744,35 @@ class TestParse:
             parse(source)
         assert str(err.value) == (
             f"1:{13 + MAX_NESTING}: error: nested more than {MAX_NESTING} levels deep"
+        )
+
+    def test_product_spaces_are_capped_before_they_are_built(self):
+        """A product space of more than MAX_PRODUCT elements, a query's or
+        an inline one, is a positioned diagnostic; parsing builds none."""
+        source = corpus_source("malformed_product.netspec")
+        with pytest.raises(NetspecError) as err:
+            parse(source)  # q4 would have 2**32 pairs
+        assert str(err.value) == (
+            "7:12: error: query 'q4' at q4/product: "
+            "product space would have 4294967296 elements, more than 65536"
+        )
+        env = load(source.rsplit("query q4", 1)[0])  # q3 has MAX_PRODUCT pairs
+        assert len(env.queries["q3"].info) == MAX_PRODUCT
+        assert str(evaluate(env, "other").value) == "1|a>"
+
+        def inline(n):  # a state on an inline product of n * 256 pairs
+            xs = ", ".join(f"x{i}" for i in range(n))
+            ys = ", ".join(f"y{i}" for i in range(256))
+            return (
+                f"space l = {{ {xs} }}\nspace r = {{ {ys} }}\n"
+                "state p : l * r = { (x0,y0): 1 }\n"
+            )
+
+        assert len(load(inline(256)).states["p"].space) == MAX_PRODUCT
+        with pytest.raises(NetspecError) as err:
+            parse(inline(257))
+        assert str(err.value) == (
+            "3:11: error: product space would have 65792 elements, more than 65536"
         )
 
     def test_forward_reference_rejected(self):
@@ -1069,7 +1190,9 @@ class TestStaticSpaceCheck:
         """Random query text, through ``load``.  A query the checker accepts
         evaluates without SpaceMismatch, to the value or error the checked
         expression gives, also through an alias and, for a state, nested in
-        ``blend(1, x, x)``.  A query it rejects gives one diagnostic, the
+        ``blend(1, x, x)``; that value equals the independent
+        ``reference_value``, and where evaluation fails, so does the
+        reference.  A query it rejects gives one diagnostic, the
         checker's text, at the Call or NameRef that text names.  Besides two
         corpus networks, the queries run on sampled networks with gaps:
         priors with zero weights and channels that predict zeros, on which
@@ -1146,6 +1269,11 @@ class TestStaticSpaceCheck:
             names.append("n")
         loaded = load(source)
         expected = outcome(lambda: _eval_expr(bound))
+        reference = value_or_error(lambda: reference_value(bound))
+        if isinstance(expected, tuple):  # evaluation failed: so must the reference
+            assert isinstance(reference, tuple), (text, expected)
+        else:
+            assert reference == expected, text
         for name in names:
             assert outcome(lambda: evaluate(loaded, name).value) == expected, (name, text)
         return expected
