@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from fractions import Fraction
@@ -34,9 +35,25 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# The most bytes of a netspec file that are read: about a thousand times the
+# largest shipped network (barber.netspec, 1,054 bytes).  A generated file of
+# this size, 24,838 declarations, loads in 1.5 s with about 80 MiB more peak
+# memory (CPython 3.11); a larger file, /dev/zero included, is refused after
+# reading one byte past the limit.
+MAX_FILE_BYTES = 2**20
+
 
 def _load_file(path: str) -> netspec.Environment:
-    data = Path(path).read_bytes()
+    with Path(path).open("rb") as file:
+        # read to the length the file reports, so that a small file does not
+        # cost a buffer of the limit's size; read on only if there is more
+        size = min(os.fstat(file.fileno()).st_size, MAX_FILE_BYTES)
+        data = file.read(size + 1)
+        if len(data) > size:  # a device, a pipe or a file still growing
+            data += file.read(MAX_FILE_BYTES - size)
+    if len(data) > MAX_FILE_BYTES:
+        message = f"file is larger than {MAX_FILE_BYTES} bytes"
+        raise NetspecError([netspec.ParseDiagnostic("error", 1, 1, message)])
     try:
         source = _text(data)
     except UnicodeDecodeError as exc:  # positioned like any other bad character

@@ -9,8 +9,10 @@ a conditional probability table / stochastic matrix.
 
 Every value is an exact rational end to end.  Floats are rejected at the
 boundary: the point of the library is that results like 117/2000 are exact,
-and no binary floating-point value may enter the pipeline.  All values are
-immutable after construction, so they can be shared freely across threads.
+and no binary floating-point value may enter the pipeline.  What a value is
+never changes after construction, so values can be shared freely across
+threads; the one thing written later is a kernel result's Fraction map, a
+write-once cache (two threads that read it first build equal maps).
 
 Weight maps are total: every element of the space has an entry, and zero
 weights are stored rather than dropped.  Iteration always follows the
@@ -20,16 +22,19 @@ Representation: ``Fraction`` at the API, integers inside.  A state and a
 predicate are the same kind of object, a [0, 1]-valued function on a space,
 and share one implementation, the private base ``_UnitValued``; a state's
 values (``weights``) must also sum to 1, a predicate's (``values``) need
-not.  Both are read-only maps of reduced fractions, but every state and
-predicate also carries its integer form, one numerator per element in space
-order over one shared denominator (the lcm of the fractions' denominators,
-so the form is canonical, and equality compares it).  A channel lazily puts
-its rows over one common denominator.  The kernels multiply and add these
-integers and reduce to fractions once per result, rather than normalising a
-``Fraction`` after every operation.  There is one validation layer, the
-base's ``_check_numerators``, on the integer form: the public constructors
-put their fractions over the lcm and call it, and the kernels' results pass
-through it by way of the private ``_from_integers``.
+not.  The value is its integer form: one numerator per element in space
+order over one shared denominator, reduced (the lcm of the fractions'
+denominators, so the form is canonical, and equality compares it).  Its
+read-only map of reduced fractions is a view of that form.  A value built
+from fractions keeps the map it was given; a kernel's result holds only
+its integer form, and builds its map when it is first read, once.  A
+channel lazily puts its rows over one common denominator.  The kernels
+multiply and add these integers and read integers, so a result that only
+feeds the next kernel, or an equality test, never becomes a ``Fraction``;
+rendering reduces each entry it prints.  There is one validation layer,
+the base's ``_check_numerators``, on the integer form: the public
+constructors put their fractions over the lcm and call it, and the
+kernels' results pass through it by way of the private ``_from_integers``.
 """
 
 from __future__ import annotations
@@ -213,23 +218,37 @@ class _UnitValued:
 
     @classmethod
     def _from_integers(cls, space: Space, nums: Sequence[int], den: int):
-        """The value with entries nums[i] / den (den > 0), validated: reduced
-        once, then one reduced Fraction per element."""
+        """The value with entries nums[i] / den (den > 0), validated and
+        reduced once.  It holds only its integer form: its Fraction map is
+        built when it is first read."""
         cls._check_numerators(space, nums, den)
         g = gcd(den, *nums)
         if g != 1:
             nums, den = [k // g for k in nums], den // g
         value = object.__new__(cls)
-        entries = {x: Fraction(k, den) if k else ZERO for x, k in zip(space.elements, nums)}
-        value.__dict__.update(
-            {
-                "space": space,
-                cls._entries: MappingProxyType(entries),
-                "_nums": tuple(nums),
-                "_den": den,
-            }
-        )
+        value.__dict__.update({"space": space, "_nums": tuple(nums), "_den": den})
         return value
+
+    def __getattr__(self, name):
+        """The Fraction map, built from the integer form on its first read
+        and kept; runs only while the map is missing, which it is for a
+        kernel result until read."""
+        if name != self._entries:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        den = self._den
+        entries = MappingProxyType({
+            x: Fraction(k, den) if k else ZERO
+            for x, k in zip(self.space.elements, self._nums)
+        })
+        self.__dict__[name] = entries
+        return entries
+
+    def __getstate__(self):
+        """Copy and pickle the space and integer form, never the map (a
+        MappingProxyType cannot be pickled): it is built again on read."""
+        return {k: v for k, v in self.__dict__.items() if k != self._entries}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -259,10 +278,6 @@ class State(_UnitValued):
 
     def support(self) -> tuple[Element, ...]:
         return tuple(x for x, k in zip(self.space.elements, self._nums) if k)
-
-    @property
-    def has_full_support(self) -> bool:
-        return all(self._nums)
 
     def __str__(self) -> str:
         return render_state(self)
@@ -346,7 +361,9 @@ def indicator(space: Space, subset: Iterable[Element]) -> Predicate:
 def conjunction(p: Predicate, q: Predicate) -> Predicate:
     """Pointwise product p & q."""
     _require_same_space(p.space, q.space, "conjunction")
-    return Predicate(p.space, {x: p.values[x] * q.values[x] for x in p.space})
+    return Predicate._from_integers(
+        p.space, list(map(mul, p._nums, q._nums)), p._den * q._den
+    )
 
 
 def scale(s, p: Predicate) -> Predicate:
@@ -354,7 +371,9 @@ def scale(s, p: Predicate) -> Predicate:
     s = as_fraction(s)
     if s < 0 or s > 1:
         raise ValueOutOfRange(f"scalar {s} lies outside [0, 1]")
-    return Predicate(p.space, {x: s * v for x, v in p.values.items()})
+    return Predicate._from_integers(
+        p.space, [s.numerator * k for k in p._nums], s.denominator * p._den
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +434,7 @@ class Channel:
     @property
     def is_deterministic(self) -> bool:
         """True when every row is a point mass (the channel lifts a function)."""
-        return all(
-            any(w == 1 for w in row.weights.values()) for row in self.rows.values()
-        )
+        return all(max(row._nums) == row._den for row in self.rows.values())
 
     def __str__(self) -> str:
         return render_channel(self)

@@ -122,20 +122,12 @@ def _summed(space: Space, pairs, nums: list[int], axis: int) -> dict[Element, in
     return sums
 
 
-def oracle_condition(
-    joint: JointTable, weight: Mapping[tuple[Element, Element], Fraction]
-) -> JointTable:
-    """Reweigh every cell and renormalise exactly."""
-    return JointTable(
-        joint.domain, joint.codomain, _shares(joint.mass, _weighed(joint, weight))
-    )
-
-
 def conditioned_x_marginal(
     joint: JointTable, weight: Mapping[tuple[Element, Element], Fraction]
 ) -> State:
-    """``x_marginal(oracle_condition(joint, weight))`` in one pass: each cell
-    weighed, the cells summed per x, and each sum divided by their total."""
+    """The X-marginal of the joint reweighed by ``weight`` and renormalised,
+    in one pass: each cell weighed, the cells summed per x, and each sum
+    divided by their total."""
     sums = _summed(joint.domain, joint.mass, _weighed(joint, weight), 0)
     return State(joint.domain, _shares(sums, list(sums.values())))
 

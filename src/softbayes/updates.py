@@ -59,8 +59,6 @@ from .errors import (
     ValueOutOfRange,
 )
 
-ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # Bayesian inversion
@@ -73,13 +71,18 @@ def dagger(c: Channel, sigma: State) -> Channel:
     through c, i.e. weight sigma(x)*c(x)(y) / (c >> sigma)(y).  Requires
     the predicted state c >> sigma to have full support; raises
     NotFullSupport naming the first offending element otherwise.
+
+    Unlike other kernel results, the rows are built with their Fraction
+    maps: ``--explain`` prints them, and with them deferred the
+    ``kernel-dense`` benchmark's timed call shrank so far that its worker,
+    whose check reads every row, ran past the 150 s limit of
+    ``bench/run.py`` (ROADMAP item 4).
     """
     w, rows, predicted = _prediction(c, sigma)
-    return Channel(
-        c.codomain,
-        c.domain,
-        _inverted_rows(c, w, rows, predicted, range(len(predicted))),
-    )
+    inverted = _inverted_rows(c, w, rows, predicted, range(len(predicted)))
+    for row in inverted.values():
+        row.weights  # built now, once
+    return Channel(c.codomain, c.domain, inverted)
 
 
 def _prediction(c: Channel, sigma: State):
@@ -178,7 +181,7 @@ def forward_inference(sigma: State, c: Channel, p: Predicate) -> State:
 
 def state_to_predicate(rho: State) -> Predicate:
     """Read a state's weights as predicate values (they lie in [0, 1])."""
-    return Predicate(rho.space, dict(rho.weights))
+    return Predicate._from_integers(rho.space, rho._nums, rho._den)
 
 
 def normalize_predicate(p: Predicate) -> State:
@@ -356,8 +359,9 @@ def _sweep_rows(sigma: State, c: Channel, t: int, n: int):
 def total_variation(sigma: State, other: State) -> Fraction:
     """Distance sum_x |sigma(x) - other(x)| (un-halved convention)."""
     core._require_same_space(sigma.space, other.space, "total variation")
-    return sum(
-        (abs(sigma.weights[x] - other.weights[x]) for x in sigma.space), ZERO
+    a, b = sigma._den, other._den
+    return Fraction(
+        sum(abs(j * b - k * a) for j, k in zip(sigma._nums, other._nums)), a * b
     )
 
 

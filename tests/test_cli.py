@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from softbayes import core, netspec, updates
-from softbayes.cli import build_parser, corpus_names, corpus_source, main
+from softbayes.cli import (
+    MAX_FILE_BYTES, build_parser, corpus_names, corpus_source, main,
+)
 from softbayes.errors import UnknownElement
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -181,6 +183,22 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_file_of_the_size_limit_is_read_and_one_byte_more_refused(
+        self, capsys, tmp_path
+    ):
+        source = (CORPUS / "disease.netspec").read_bytes() + b"#"
+        padded = source + b"x" * (MAX_FILE_BYTES - len(source))
+        f = tmp_path / "padded.netspec"
+        f.write_bytes(padded)
+        code, out, _ = run(capsys, "eval", str(f), "prior")
+        assert (code, out) == (0, "1/100|d> + 99/100|~d>\n")
+        f.write_bytes(padded + b"x")
+        code, out, err = run(capsys, "eval", str(f), "prior")
+        assert (code, out) == (2, "")
+        assert err == f"1:1: error: file is larger than {MAX_FILE_BYTES} bytes\n"
+        if Path("/dev/zero").exists():  # endless, and reports no size
+            assert run(capsys, "eval", "/dev/zero", "prior") == (2, "", err)
 
     def test_non_utf8_file_exits_two_with_position(self, capsys, tmp_path):
         f = tmp_path / "latin1.netspec"

@@ -1,5 +1,7 @@
 """Core value types and the transformation calculus, against worked values."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction as F
@@ -229,6 +231,51 @@ class TestIntegerForm:
         pred = Predicate._from_integers(self.SP, [2, 0], 4)
         assert pred == Predicate(self.SP, {"d": F(1, 2)})
         assert repr(pred) == "<Predicate {d: 1/2, ~d: 0} on 'disease'>"
+
+    def test_public_construction_holds_its_map(self):
+        """A value built from fractions keeps them; only a kernel result
+        defers its map."""
+        sigma = make_state(self.SP, {"d": F(1, 4), "~d": F(3, 4)})
+        assert vars(sigma)["weights"] == {"d": F(1, 4), "~d": F(3, 4)}
+        pred = make_predicate(self.SP, {"d": F(1, 2)})
+        assert vars(pred)["values"] == {"d": F(1, 2), "~d": 0}
+        kernel = State._from_integers(self.SP, [1, 3], 4)
+        assert "weights" not in vars(kernel)
+        assert kernel.weights is kernel.weights
+        assert vars(kernel)["weights"] == sigma.weights
+
+    def test_a_missing_attribute_stays_missing(self):
+        kernel = State._from_integers(self.SP, [1, 3], 4)
+        message = "'State' object has no attribute 'values'"
+        with pytest.raises(AttributeError, match=message):
+            kernel.values
+        assert not hasattr(Predicate._from_integers(self.SP, [1, 3], 4), "weights")
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sp: State._from_integers(sp, [0, 5], 5),
+            lambda sp: Predicate._from_integers(sp, [3, 0], 4),
+            lambda sp: make_state(sp, {"d": F(1, 4), "~d": F(3, 4)}),
+            lambda sp: make_predicate(sp, {"~d": F(2, 3)}),
+        ],
+        ids=["kernel-state", "kernel-predicate", "make_state", "make_predicate"],
+    )
+    def test_copy_and_pickle_whether_or_not_the_map_was_read(self, build, read):
+        value = build(self.SP)
+        entries = "weights" if isinstance(value, State) else "values"
+        if read:
+            getattr(value, entries)
+        copies = [copy.copy(value), copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for copied in copies:
+            assert type(copied) is type(value) and copied == value
+            assert list(getattr(copied, entries).items()) == list(
+                getattr(value, entries).items()
+            )
 
 
 def _fraction_map_equal(a, b) -> bool:

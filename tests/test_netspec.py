@@ -906,6 +906,89 @@ class TestCompileAndEvaluate:
             assert evaluate(env, f"{name}_nested").value == value
         assert dict(evaluate(env, "a").working())["event prior mass"] == 1
 
+    # a network whose values have zero entries and no symmetry, so that a
+    # map that drops zeros or pairs entries with the wrong elements differs
+    LAZY_SOURCE = (
+        "space s = { a, b, c }\nspace t = { u, v }\n"
+        "state p : s = { a: 1/2, b: 1/3, c: 1/6 }\n"
+        "state r : t = { u: 1/4, v: 3/4 }\n"
+        "predicate e : s = { a: 1, b: 1/2, c: 0 }\n"
+        "predicate k : t = { u: 1, v: 1/5 }\n"
+        "channel c : s -> t = "
+        "{ a: { u: 1 }, b: { u: 2/3, v: 1/3 }, c: { u: 1/7, v: 6/7 } }\n"
+        "channel d : t -> s = { u: { a: 1/2, c: 1/2 }, v: { b: 1 } }\n"
+    )
+    # one query per operation whose value is a state, predicate or channel
+    LAZY_QUERIES = {
+        "transform": "transform(c, p)",
+        "predtransform": "predtransform(c, k)",
+        "condition": "condition(p, e)",
+        "compose": "compose(d, c)",
+        "dagger": "dagger(c, p)",
+        "pearl": "pearl(p, c, k)",
+        "jeffrey": "jeffrey(p, c, r)",
+        "product": "product(p, r)",
+        "marginal": "marginal(product(r, p), second)",
+        "atc": "atc(p, {a, b}, 1)",
+        "nec": "nec(p, {a}, 3)",
+        "blend": "blend(1/3, condition(p, e), p)",
+    }
+
+    def test_every_valued_operation_is_covered(self):
+        valued = {op for op, kind in RESULT_KINDS.items() if kind != "scalar"}
+        assert set(self.LAZY_QUERIES) == valued
+
+    @pytest.mark.parametrize("op", sorted(LAZY_QUERIES))
+    def test_kernel_results_build_their_map_when_read(self, op):
+        """A kernel result, and each row of a channel one, holds its integer
+        form only; its map, once read, is the one the public constructor
+        builds from the same values: exact fractions in space order, zeros
+        included, and the same object at every later read.  The rows of
+        ``dagger`` alone are built with their maps."""
+        env = load(self.LAZY_SOURCE + f"query z = {self.LAZY_QUERIES[op]}\n")
+        value = evaluate(env, "z").value
+        parts = [*value.rows.values()] if isinstance(value, core.Channel) else [value]
+        kinds = [
+            ("weights", core.make_state) if isinstance(part, core.State)
+            else ("values", core.make_predicate)
+            for part in parts
+        ]
+        for part, (entries, _) in zip(parts, kinds):
+            assert (entries in vars(part)) is (op == "dagger")
+        for part, (entries, make) in zip(parts, kinds):
+            read = getattr(part, entries)
+            listing = [(x, F(k, part._den)) for x, k in zip(part.space, part._nums)]
+            expected = getattr(make(part.space, listing), entries)
+            assert list(read.items()) == list(expected.items())
+            assert all(type(w) is F for w in read.values())
+            assert getattr(part, entries) is read
+
+    def test_rendering_a_chain_builds_only_the_rendered_map(self, monkeypatch):
+        """Evaluation reads the integer form: of the 23 kernel results of
+        q12, only the rendered one builds its map."""
+        source = (
+            "space s = { a, b }\nstate p : s = { a: 1/3, b: 2/3 }\n"
+            "channel c : s -> s = { a: { a: 1/4, b: 3/4 }, b: { a: 1/2, b: 1/2 } }\n"
+            "query q0 = p\nquery q1 = transform(c, p)\n"
+        ) + "".join(
+            f"query q{i} = blend(1/3, transform(c, q{i - 1}), q{i - 2})\n"
+            for i in range(2, 13)
+        )
+        env = load(source)
+        built = []
+        build = core._UnitValued.__getattr__
+
+        def counted(value, name):
+            entries = build(value, name)
+            built.append(value)
+            return entries
+
+        monkeypatch.setattr(core._UnitValued, "__getattr__", counted)
+        value = evaluate(env, "q12").value
+        assert len(built) == 0
+        core.render_state(value)
+        assert len(built) == 1 and built[0] is value
+
     def test_reference_chain_of_600_links_evaluates(self):
         source = DISEASE_MINIMAL + (
             "channel id : disease -> disease = { d: { d: 1 }, ~d: { ~d: 1 } }\n"
