@@ -53,14 +53,14 @@ def _load_file(path: str) -> netspec.Environment:
             data += file.read(MAX_FILE_BYTES - size)
     if len(data) > MAX_FILE_BYTES:
         message = f"file is larger than {MAX_FILE_BYTES} bytes"
-        raise NetspecError([netspec.ParseDiagnostic("error", 1, 1, message)])
+        raise NetspecError([netspec.ParseDiagnostic(1, 1, message)])
     try:
         source = _text(data)
     except UnicodeDecodeError as exc:  # positioned like any other bad character
         before = _text(data[: exc.start])
         line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
         message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        diagnostic = netspec.ParseDiagnostic("error", line, column, message)
+        diagnostic = netspec.ParseDiagnostic(line, column, message)
         raise NetspecError([diagnostic]) from None
     return netspec.load(source)
 

@@ -83,3 +83,7 @@ class ZeroMass(SoftbayesError):
 
 class NonBinaryEvidenceSpace(SoftbayesError):
     """The sweep needs a binary evidence space for its parameter."""
+
+
+class NumberTooLarge(SoftbayesError):
+    """A kernel would build a number of more than ``core.MAX_BITS`` bits."""

@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 from . import core, errors, updates
 from .core import Channel, Element, Predicate, Space, State
-from .errors import SoftbayesError, SpaceMismatch
+from .errors import NumberTooLarge, SoftbayesError, SpaceMismatch
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -45,14 +45,14 @@ from .errors import SoftbayesError, SpaceMismatch
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" (parsing never emits mere warnings today)
+    """An error at a source position; parsing emits no mere warnings."""
+
     line: int
     column: int
     message: str
-    token: str = ""
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class NetspecError(SoftbayesError):
@@ -132,7 +132,7 @@ STATE, PRED, CHAN, SCALAR, EVENT, WHICH, FACTOR = (
     "factor",
 )
 
-# -- space rules: argument space info -> (result kind, result space info) ----
+# -- space rules: argument space info -> result space info ------------------
 # Space info is the Space of a state or predicate, the (domain, codomain)
 # pair of a channel, None for a scalar expression, and the literal itself
 # for literal arguments (an event as its tuple of elements).  A conflict
@@ -140,70 +140,59 @@ STATE, PRED, CHAN, SCALAR, EVENT, WHICH, FACTOR = (
 # query.
 
 
+def _same(a: Space, b: Space, message: str) -> None:
+    """SpaceMismatch unless ``a == b``; ``message`` is a format string over
+    the two spaces, filled in only then."""
+    if a != b:
+        raise SpaceMismatch(message.format(a, b))
+
+
 def _transform_space(chan, space):
     dom, cod = chan
-    if space != dom:
-        raise SpaceMismatch(
-            f"state on {space.name!r} cannot flow through channel from {dom.name!r}"
-        )
-    return STATE, cod
+    _same(space, dom, "state on {0.name!r} cannot flow through channel from {1.name!r}")
+    return cod
 
 
 def _predtransform_space(chan, space):
     dom, cod = chan
-    if space != cod:
-        raise SpaceMismatch(
-            f"predicate on {space.name!r} does not match channel codomain "
-            f"{cod.name!r}"
-        )
-    return PRED, dom
+    _same(
+        space, cod, "predicate on {0.name!r} does not match channel codomain {1.name!r}"
+    )
+    return dom
 
 
 def _condition_space(state_space, pred_space):
-    if state_space != pred_space:
-        raise SpaceMismatch(
-            f"state on {state_space.name!r} but predicate on {pred_space.name!r}"
-        )
-    return STATE, state_space
+    _same(state_space, pred_space, "state on {0.name!r} but predicate on {1.name!r}")
+    return state_space
 
 
 def _validity_space(state_space, pred_space):
     _condition_space(state_space, pred_space)
-    return SCALAR, None
+    return None  # a scalar has no space
 
 
 def _compose_space(outer, inner):
     (d_dom, d_cod), (c_dom, c_cod) = outer, inner
-    if c_cod != d_dom:
-        raise SpaceMismatch(
-            f"cannot compose: inner codomain {c_cod.name!r} is not outer "
-            f"domain {d_dom.name!r}"
-        )
-    return CHAN, (c_dom, d_cod)
+    _same(
+        c_cod, d_dom,
+        "cannot compose: inner codomain {0.name!r} is not outer domain {1.name!r}",
+    )
+    return c_dom, d_cod
 
 
 def _dagger_space(chan, prior_space):
     dom, cod = chan
-    if prior_space != dom:
-        raise SpaceMismatch(
-            f"prior on {prior_space.name!r} does not match channel domain "
-            f"{dom.name!r}"
-        )
-    return CHAN, (cod, dom)
+    _same(
+        prior_space, dom, "prior on {0.name!r} does not match channel domain {1.name!r}"
+    )
+    return cod, dom
 
 
 def _update_space(prior_space, chan, evidence_space):
     dom, cod = chan
-    if prior_space != dom:
-        raise SpaceMismatch(
-            f"prior on {prior_space.name!r} vs channel domain {dom.name!r}"
-        )
-    if evidence_space != cod:
-        raise SpaceMismatch(
-            f"evidence on {evidence_space.name!r} vs channel codomain "
-            f"{cod.name!r}"
-        )
-    return STATE, prior_space
+    _same(prior_space, dom, "prior on {0.name!r} vs channel domain {1.name!r}")
+    _same(evidence_space, cod, "evidence on {0.name!r} vs channel codomain {1.name!r}")
+    return prior_space
 
 
 def _product_space(left, right):
@@ -214,13 +203,13 @@ def _product_space(left, right):
         raise SpaceMismatch(
             f"product space would have {size} elements, more than {MAX_PRODUCT}"
         )
-    return STATE, core.product_space(left, right)
+    return core.product_space(left, right)
 
 
 def _marginal_space(space, which):
     if not isinstance(space, core.ProductSpace):
         raise SpaceMismatch(f"marginal needs a product-space state, got {space.name!r}")
-    return STATE, space.left if which == "first" else space.right
+    return space.left if which == "first" else space.right
 
 
 def _event_space(space, event, _amount):
@@ -230,32 +219,33 @@ def _event_space(space, event, _amount):
                 f"event element {core.render_element(x)!r} is not in "
                 f"space {space.name!r}"
             )
-    return STATE, space
+    return space
 
 
 def _blend_space(_s, jeffrey_space, pearl_space):
-    if jeffrey_space != pearl_space:
-        raise SpaceMismatch(
-            f"blend arms live on different spaces {jeffrey_space.name!r} and "
-            f"{pearl_space.name!r}"
-        )
-    return STATE, jeffrey_space
+    _same(
+        jeffrey_space, pearl_space,
+        "blend arms live on different spaces {0.name!r} and {1.name!r}",
+    )
+    return jeffrey_space
 
 
 @dataclass(frozen=True)
 class Operation:
     """A query operation, defined once for the parser, checker and evaluator.
 
-    ``args`` are the argument kinds the parser reads and ``space`` is the
-    static space rule.  ``kernel`` computes the value from the arguments
-    and ``report``, for the update rules, the working ``--explain`` prints
-    from the same arguments: (label, value) steps.  Both name functions of
-    ``module`` and are looked up at each call, so a module function
-    replaced at run time (by a tracer, say) is the one used.
+    ``args`` are the argument kinds the parser reads, ``kind`` is the kind
+    of the result and ``space`` the static space rule, from the arguments'
+    space info to the result's.  ``kernel`` computes the value from the
+    arguments and ``report``, for the update rules, the working
+    ``--explain`` prints from the same arguments: (label, value) steps.
+    Both name functions of ``module`` and are looked up at each call, so a
+    module function replaced at run time (by a tracer, say) is the one used.
     """
 
     args: tuple[str, ...]
-    space: Callable[..., tuple[str, object]]
+    kind: str
+    space: Callable[..., object]
     module: ModuleType
     kernel: str
     report: Optional[str] = None
@@ -266,31 +256,38 @@ class Operation:
 
 
 OPERATIONS: dict[str, Operation] = {
-    "transform": Operation((CHAN, STATE), _transform_space, core, "state_transform"),
-    "predtransform": Operation(
-        (CHAN, PRED), _predtransform_space, core, "predicate_transform"
+    "transform": Operation(
+        (CHAN, STATE), STATE, _transform_space, core, "state_transform"
     ),
-    "validity": Operation((STATE, PRED), _validity_space, core, "validity"),
-    "condition": Operation((STATE, PRED), _condition_space, core, "condition"),
-    "compose": Operation((CHAN, CHAN), _compose_space, core, "compose"),
-    "dagger": Operation((CHAN, STATE), _dagger_space, updates, "dagger"),
+    "predtransform": Operation(
+        (CHAN, PRED), PRED, _predtransform_space, core, "predicate_transform"
+    ),
+    "validity": Operation((STATE, PRED), SCALAR, _validity_space, core, "validity"),
+    "condition": Operation((STATE, PRED), STATE, _condition_space, core, "condition"),
+    "compose": Operation((CHAN, CHAN), CHAN, _compose_space, core, "compose"),
+    "dagger": Operation((CHAN, STATE), CHAN, _dagger_space, updates, "dagger"),
     "pearl": Operation(
-        (STATE, CHAN, PRED), _update_space, updates, "pearl_update", "pearl_report"
+        (STATE, CHAN, PRED), STATE, _update_space, updates, "pearl_update",
+        "pearl_report",
     ),
     "jeffrey": Operation(
-        (STATE, CHAN, STATE), _update_space, updates, "jeffrey_update",
+        (STATE, CHAN, STATE), STATE, _update_space, updates, "jeffrey_update",
         "jeffrey_report",
     ),
-    "product": Operation((STATE, STATE), _product_space, core, "product_state"),
-    "marginal": Operation((STATE, WHICH), _marginal_space, core, "marginal"),
+    "product": Operation(
+        (STATE, STATE), STATE, _product_space, core, "product_state"
+    ),
+    "marginal": Operation((STATE, WHICH), STATE, _marginal_space, core, "marginal"),
     "atc": Operation(
-        (STATE, EVENT, SCALAR), _event_space, updates, "atc_update", "atc_report"
+        (STATE, EVENT, SCALAR), STATE, _event_space, updates, "atc_update",
+        "atc_report",
     ),
     "nec": Operation(
-        (STATE, EVENT, FACTOR), _event_space, updates, "nec_update", "nec_report"
+        (STATE, EVENT, FACTOR), STATE, _event_space, updates, "nec_update",
+        "nec_report",
     ),
     "blend": Operation(
-        (SCALAR, STATE, STATE), _blend_space, updates, "blend_update",
+        (SCALAR, STATE, STATE), STATE, _blend_space, updates, "blend_update",
         "blend_report",
     ),
 }
@@ -307,7 +304,8 @@ DECL_KEYWORDS = frozenset(_TABLES)
 MAX_NESTING = 100
 # Most elements a product space may have, inline or a query's.  Parsing
 # builds every product space it meets: one of 2**16 pairs takes about 25 ms
-# and 7 MiB, one of 2**20 half a second and 120 MiB.
+# and 7 MiB, one of 2**20 half a second and 120 MiB.  (The size of numbers
+# is bounded where they are built, by ``core.MAX_BITS``.)
 MAX_PRODUCT = 2**16
 
 
@@ -384,16 +382,12 @@ def tokenize(source: str) -> tuple[list[Token], list[ParseDiagnostic]]:
             try:
                 value = _number(number)
             except ZeroDivisionError:
-                diagnostics.append(
-                    ParseDiagnostic("error", line, col, "zero denominator", number)
-                )
+                diagnostics.append(ParseDiagnostic(line, col, "zero denominator"))
                 value = None
             except ValueError:
                 diagnostics.append(
                     ParseDiagnostic(
-                        "error", line, col,
-                        f"number literal too long ({len(number)} characters)",
-                        number,
+                        line, col, f"number literal too long ({len(number)} characters)"
                     )
                 )
                 value = None
@@ -401,9 +395,7 @@ def tokenize(source: str) -> tuple[list[Token], list[ParseDiagnostic]]:
             pos += len(number)
         elif bad:
             diagnostics.append(
-                ParseDiagnostic(
-                    "error", line, col, f"unexpected character {bad!r}", bad
-                )
+                ParseDiagnostic(line, col, f"unexpected character {bad!r}")
             )
             pos += 1
         else:  # the end of the text
@@ -460,9 +452,7 @@ class _Parser:
         return False
 
     def error(self, token: Token, message: str) -> None:
-        self.diagnostics.append(
-            ParseDiagnostic("error", token.line, token.column, message, token.text)
-        )
+        self.diagnostics.append(ParseDiagnostic(token.line, token.column, message))
 
     def fail(self, token: Token, message: str) -> "_Recover":
         self.error(token, message)
@@ -615,7 +605,7 @@ class _Parser:
             return left
         right = self.resolve_space(self.expect_ident("a space name"))
         try:
-            return _product_space(left, right)[1]
+            return _product_space(left, right)
         except SpaceMismatch as exc:
             raise self.fail(tok, str(exc)) from None
 
@@ -711,7 +701,7 @@ class _Parser:
             )
         except SpaceMismatch as exc:  # placed at the Call or NameRef it names
             self.diagnostics.append(
-                ParseDiagnostic("error", exc.at.line, exc.at.column, str(exc))
+                ParseDiagnostic(exc.at.line, exc.at.column, str(exc))
             )
             raise _Recover from None
 
@@ -933,10 +923,10 @@ def check_expr(
             infos.append(info)
             args.append(arg)
         try:
-            kind, info = op.space(*infos)
+            info = op.space(*infos)
         except SpaceMismatch as exc:
             raise _fault(expr, query, where, exc) from None
-        bound = Call(expr.op, tuple(args))
+        kind, bound = op.kind, Call(expr.op, tuple(args))
     else:
         found = _resolve(env, expr.name, expected)
         if found is None:
@@ -963,7 +953,6 @@ class QueryResult:
     """An evaluated query: the value and its kind, and, when the query is
     a call, the operation's name and the argument values it ran on."""
 
-    name: str
     kind: str  # state | predicate | channel | scalar
     value: object
     op: Optional[str] = None
@@ -983,48 +972,48 @@ def evaluate(env: Environment, name: str) -> QueryResult:
 
     The name means what it would mean inside a query declared last: the
     query of that name, else the state, channel (or function), or
-    predicate.  A query that is a call evaluates its arguments and then
-    runs its operation's kernel, as a nested call does; the result keeps
-    the arguments, so ``QueryResult.working`` can show the working.  A
-    query that only names another query (an alias, or a chain of them)
-    keeps the working of the call at the chain's end.  Each
-    query it references is evaluated once, however often it is used, and
-    a chain of query references may be of any length; nothing is kept
-    between calls.
+    predicate.  A query that only names another query (an alias, or a
+    chain of them) is followed to the query at the chain's end, whose
+    expression ``_eval_expr`` evaluates; when that is a call, the result
+    keeps its operation and argument values, so ``QueryResult.working``
+    can show the working.  Each query it references is evaluated once,
+    however often it is used, and a chain of query references may be of
+    any length; nothing is kept between calls.  A number that would grow
+    past ``core.MAX_BITS`` bits raises NumberTooLarge naming ``name``.
     """
     found = _resolve(env, name)
     if found is None:
         if name in env.spaces:
             raise SpaceMismatch(f"{name!r} is a space, which has no value to evaluate")
         raise SpaceMismatch(f"no query or declaration named {name!r}")
-    kind, _info, target = found
-    if not isinstance(target, QueryDecl):
-        return QueryResult(name, kind, target)
-    bound = target.bound
-    while isinstance(bound, QueryDecl):  # an alias: follow it to its value
-        bound = bound.bound
-    if not isinstance(bound, Call):  # the query names another value
-        return QueryResult(name, kind, _eval_expr(bound))
-    memo: dict = {}
-    args = tuple(_eval_expr(arg, memo) for arg in bound.args)
-    return QueryResult(name, kind, OPERATIONS[bound.op].run(args), bound.op, args)
+    kind, _info, node = found
+    while isinstance(node, QueryDecl):  # an alias: follow it to its value
+        node = node.bound
+    try:
+        value, args = _eval_expr(node)
+    except NumberTooLarge as exc:  # named like a static fault, by its query
+        raise NumberTooLarge(f"query {name!r}: {exc}") from None
+    return QueryResult(kind, value, node.op if isinstance(node, Call) else None, args)
 
 
-def _eval_expr(bound, memo: Optional[dict] = None):
-    """The value of a bound expression, worked out on an explicit stack.
+def _eval_expr(bound) -> tuple[object, tuple]:
+    """The value of a bound expression, worked out on an explicit stack,
+    and, when the expression is a call, the argument values it ran on
+    (else ``()``).
 
     The work goes in the order a recursive evaluation would take:
     arguments left to right, each before the call that uses it, so the
     first operation to fail is the same.  A call runs its operation's
-    kernel.  A QueryDecl evaluates its own bound expression the first
-    time it is reached and keeps the value in ``memo``; every later use
-    reads it.  The memo is keyed by ``id``, so it must not outlive the
-    evaluation that creates it.  Anything else is already a value or a
-    literal.  Neither nesting nor a chain of query references deepens the
-    interpreter's stack.
+    kernel; this is the one place any operation runs.  A QueryDecl
+    evaluates its own bound expression the first time it is reached and
+    keeps the value in a memo keyed by ``id``, which lives only as long as
+    this evaluation; every later use reads it.  Anything else is already
+    a value or a literal.  Neither nesting nor a chain of query
+    references deepens the interpreter's stack.
     """
-    memo = {} if memo is None else memo
+    memo: dict = {}
     values: list = []
+    args: list = []  # those of the last call run: the root call's, at the end
     todo: list = [(bound, False)]  # (node, whether its inputs are on values)
     while todo:
         node, ready = todo.pop()
@@ -1045,7 +1034,7 @@ def _eval_expr(bound, memo: Optional[dict] = None):
         else:
             todo.append((node, True))
             todo += ((arg, False) for arg in reversed(node.args))
-    return values.pop()
+    return values.pop(), tuple(args)
 
 
 def load(source: str) -> Environment:

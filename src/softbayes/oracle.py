@@ -89,6 +89,11 @@ class JointTable:
         }
         object.__setattr__(self, "mass", MappingProxyType(full))
 
+    def __reduce__(self):
+        """Copy and pickle by the constructor, from the cells (a
+        MappingProxyType cannot be pickled); the row cache starts empty."""
+        return JointTable, (self.domain, self.codomain, dict(self.mass))
+
 
 def joint_of(sigma: State, c: Channel) -> JointTable:
     """Materialise the joint: mass(x, y) = sigma(x) * c(x)(y)."""

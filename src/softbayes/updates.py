@@ -305,6 +305,7 @@ def blend_update(s, jr: State, pr: State) -> State:
     if m < 0 or m > n:
         raise ValueOutOfRange(f"blend weight {s} lies outside [0, 1]")
     core._require_same_space(jr.space, pr.space, "blend")
+    core._require_bits(jr._den, pr._den)
     jw, pw = m * pr._den, (n - m) * jr._den
     return State._from_integers(
         jr.space,

@@ -37,12 +37,13 @@ from softbayes import (
     uniform_state,
     validity,
 )
-from softbayes import core, netspec, sampling
+from softbayes import core, netspec, sampling, updates
 from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import (
     DuplicateElement,
     MissingRow,
     NotAProductSpace,
+    NumberTooLarge,
     SpaceMismatch,
     UnknownElement,
     ValueOutOfRange,
@@ -529,6 +530,46 @@ class TestLiftFunction:
         assert lift_function(a, b, [("y", "u"), ("x", "u")]) == lift_function(
             a, b, {"x": "u", "y": "u"}
         )
+
+
+class TestNumberSizeLimit:
+    """Every kernel that multiplies exact numbers refuses, before it does,
+    operands whose denominators have more than core.MAX_BITS bits in all."""
+
+    SP = Space("s", ("a", "b"))
+    SIGMA = make_state(SP, {"a": F(1, 3), "b": F(2, 3)})  # a 2-bit denominator
+    P = make_predicate(SP, {"a": F(1, 7), "b": F(6, 7)})
+    C = make_channel(SP, SP, {"a": {"a": F(1, 4), "b": F(3, 4)}, "b": {"a": F(1)}})
+    KERNELS = {
+        "state_transform": lambda s, p, c: state_transform(c, s),
+        "predicate_transform": lambda s, p, c: predicate_transform(c, p),
+        "validity": lambda s, p, c: validity(s, p),
+        "condition": lambda s, p, c: condition(s, p),
+        "compose": lambda s, p, c: compose(c, c),
+        "product_state": lambda s, p, c: product_state(s, s),
+        "dagger": lambda s, p, c: updates.dagger(c, s),
+        "pearl_update": lambda s, p, c: updates.pearl_update(s, c, p),
+        "jeffrey_update": lambda s, p, c: updates.jeffrey_update(s, c, s),
+        "atc_update": lambda s, p, c: updates.atc_update(s, {"a"}, F(1, 3)),
+        "nec_update": lambda s, p, c: updates.nec_update(s, {"a"}, 3),
+        "blend_update": lambda s, p, c: updates.blend_update(F(1, 2), s, s),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_refused_past_the_limit(self, monkeypatch, kernel):
+        run = self.KERNELS[kernel]
+        run(self.SIGMA, self.P, self.C)  # within the default limit
+        monkeypatch.setattr(core, "MAX_BITS", 2)
+        with pytest.raises(NumberTooLarge, match=r"up to \d+ bits, more than 2$"):
+            run(self.SIGMA, self.P, self.C)
+
+    def test_the_limit_itself_is_allowed(self, monkeypatch):
+        # 3 and 7 have 2 and 3 bits
+        monkeypatch.setattr(core, "MAX_BITS", 5)
+        assert validity(self.SIGMA, self.P) == F(13, 21)
+        monkeypatch.setattr(core, "MAX_BITS", 4)
+        with pytest.raises(NumberTooLarge, match="up to 5 bits, more than 4"):
+            validity(self.SIGMA, self.P)
 
 
 class TestStructuredErrors:

@@ -1,5 +1,7 @@
 """The brute-force joint-table verifier, checked against the worked values."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -77,6 +79,21 @@ class TestJointTable:
             )
         with pytest.raises(UnknownElement, match="^'zz' is not an element"):
             JointTable(disease_sp, test_sp, {("d", "zz"): F(1)})
+
+    @pytest.mark.parametrize("read_row", [False, True], ids=["fresh", "row-cached"])
+    def test_copy_and_pickle(self, disease_joint, read_row):
+        if read_row:
+            oracle_dagger_row(disease_joint, "t")
+        copies = [copy.copy(disease_joint), copy.deepcopy(disease_joint)] + [
+            pickle.loads(pickle.dumps(disease_joint, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for copied in copies:
+            assert type(copied) is JointTable and copied == disease_joint
+            assert list(copied.mass.items()) == list(disease_joint.mass.items())
+            assert oracle_dagger_row(copied, "t") == oracle_dagger_row(
+                disease_joint, "t"
+            )
 
     def test_marginals(self, disease, disease_joint):
         _, _, _, prior, sens, _ = disease

@@ -46,7 +46,7 @@ def _number_value(text: str):
 def reference_tokenize(source: str):
     """(tokens, diagnostics) as plain tuples:
     tokens ``(kind, text, line, column, value)``, diagnostics
-    ``(severity, line, column, message, token)``."""
+    ``(line, column, message)``."""
     tokens, diagnostics = [], []
     line, column, i, n = 1, 1, 0, len(source)
 
@@ -73,7 +73,7 @@ def reference_tokenize(source: str):
             text = source[i:j]
             value, problem = _number_value(text)
             if problem:
-                diagnostics.append(("error", line, column, problem, text))
+                diagnostics.append((line, column, problem))
             tokens.append(("NUMBER", text, line, column, value))
         elif ch in LETTERS or (ch == "~" and i + 1 < n and source[i + 1] in LETTERS):
             j = i + 2 if ch == "~" else i + 1
@@ -88,9 +88,7 @@ def reference_tokenize(source: str):
             tokens.append((PUNCTUATION[ch], ch, line, column, None))
         else:
             j = i + 1
-            diagnostics.append(
-                ("error", line, column, f"unexpected character {ch!r}", ch)
-            )
+            diagnostics.append((line, column, f"unexpected character {ch!r}"))
         column += j - i
         i = j
     tokens.append(("EOF", "", line, column, None))
@@ -100,9 +98,7 @@ def reference_tokenize(source: str):
 def assert_same_as_reference(source: str) -> None:
     tokens, diagnostics = netspec.tokenize(source)
     got_tokens = [(t.kind, t.text, t.line, t.column, t.value) for t in tokens]
-    got_diagnostics = [
-        (d.severity, d.line, d.column, d.message, d.token) for d in diagnostics
-    ]
+    got_diagnostics = [(d.line, d.column, d.message) for d in diagnostics]
     assert (got_tokens, got_diagnostics) == reference_tokenize(source)
 
 
