@@ -46,7 +46,8 @@ class MissingRow(SoftbayesError):
 
 
 class SpaceMismatch(SoftbayesError):
-    """Two values live on different spaces (identity: name + element list)."""
+    """Two values live on different spaces (identity: name + element list),
+    or a product space would be too large to build (``core.MAX_PRODUCT``)."""
 
 
 class ZeroValidity(SoftbayesError):

@@ -195,17 +195,6 @@ def _update_space(prior_space, chan, evidence_space):
     return prior_space
 
 
-def _product_space(left, right):
-    """The product space, refused before it is built when it would have
-    more than ``MAX_PRODUCT`` elements (also for an inline product)."""
-    size = len(left) * len(right)
-    if size > MAX_PRODUCT:
-        raise SpaceMismatch(
-            f"product space would have {size} elements, more than {MAX_PRODUCT}"
-        )
-    return core.product_space(left, right)
-
-
 def _marginal_space(space, which):
     if not isinstance(space, core.ProductSpace):
         raise SpaceMismatch(f"marginal needs a product-space state, got {space.name!r}")
@@ -275,7 +264,7 @@ OPERATIONS: dict[str, Operation] = {
         "jeffrey_report",
     ),
     "product": Operation(
-        (STATE, STATE), STATE, _product_space, core, "product_state"
+        (STATE, STATE), STATE, core.product_space, core, "product_state"
     ),
     "marginal": Operation((STATE, WHICH), STATE, _marginal_space, core, "marginal"),
     "atc": Operation(
@@ -302,11 +291,6 @@ DECL_KEYWORDS = frozenset(_TABLES)
 # every recursive pass over one declaration far inside the interpreter's
 # recursion limit.
 MAX_NESTING = 100
-# Most elements a product space may have, inline or a query's.  Parsing
-# builds every product space it meets: one of 2**16 pairs takes about 25 ms
-# and 7 MiB, one of 2**20 half a second and 120 MiB.  (The size of numbers
-# is bounded where they are built, by ``core.MAX_BITS``.)
-MAX_PRODUCT = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +589,7 @@ class _Parser:
             return left
         right = self.resolve_space(self.expect_ident("a space name"))
         try:
-            return _product_space(left, right)
+            return core.product_space(left, right)
         except SpaceMismatch as exc:
             raise self.fail(tok, str(exc)) from None
 

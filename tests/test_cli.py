@@ -582,27 +582,47 @@ class TestCheck:
         assert capsys.readouterr().out.count(": ok\n") == 220
 
     @pytest.mark.parametrize(
-        "kernel, message",
-        [("dagger", "inverted row"), ("jeffrey_update", "Jeffrey update")],
+        "module, kernel, message",
+        [
+            ("updates", "dagger", "inverted row"),
+            ("updates", "jeffrey_update", "Jeffrey update"),
+            ("updates", "pearl_update", "Pearl update"),
+            ("core", "condition", "conditioning"),
+            ("core", "state_transform", "prediction"),
+            ("core", "marginal", "product marginals"),
+        ],
     )
-    def test_wrong_kernel_is_reported(self, capsys, monkeypatch, kernel, message):
-        """A kernel that returns a valid but wrong value is caught: every
-        instance has full-support priors and rows, so no true inverted row
-        or Jeffrey posterior is a point mass."""
+    def test_wrong_kernel_is_reported(
+        self, capsys, monkeypatch, module, kernel, message
+    ):
+        """A kernel that returns a valid but wrong value, a point mass, is
+        caught, and only on the lines that compare it: every instance has
+        full-support priors and rows, so no true inverted row, update,
+        prediction or marginal is a point mass."""
         from softbayes import cli, core, updates
 
+        def first(space):
+            return core.point_mass(space, space.elements[0])
+
         def wrong_dagger(c, sigma):
-            first = core.point_mass(c.domain, c.domain.elements[0])
-            return core.Channel(c.codomain, c.domain, {y: first for y in c.codomain})
+            return core.Channel(
+                c.codomain, c.domain, {y: first(c.domain) for y in c.codomain}
+            )
 
-        def wrong_jeffrey(sigma, c, rho, **_):
-            return core.point_mass(sigma.space, sigma.space.elements[0])
-
-        wrong = {"dagger": wrong_dagger, "jeffrey_update": wrong_jeffrey}[kernel]
-        monkeypatch.setattr(updates, kernel, wrong)
+        wrong = {
+            "dagger": wrong_dagger,
+            "jeffrey_update": lambda sigma, c, rho, **_: first(sigma.space),
+            "pearl_update": lambda sigma, c, q: first(sigma.space),
+            "condition": lambda sigma, p: first(sigma.space),
+            "state_transform": lambda c, sigma: first(c.codomain),
+            "marginal": lambda tau, which: first(
+                tau.space.left if which == "first" else tau.space.right
+            ),
+        }[kernel]
+        monkeypatch.setattr({"core": core, "updates": updates}[module], kernel, wrong)
         mismatches = cli.run_oracle_check(seed=5, instances=4)
         assert mismatches
-        assert all(message in line and "differs" in line for line in mismatches)
+        assert all(message in line and "differ" in line for line in mismatches)
         code, out, err = run(capsys, "check", "--seed", "5", "--instances", "4")
         assert code == 1
         assert out == "oracle check: 4 instances, seed 5: MISMATCH\n"

@@ -74,6 +74,7 @@ class TestSpaces:
         ps = product_space(Space("l", ("1", "2")), Space("r", ("a", "b")))
         assert ps.elements == (("1", "a"), ("1", "b"), ("2", "a"), ("2", "b"))
         assert len(ps) == 4
+        assert repr(ps) == "ProductSpace('l' * 'r')"
 
 
 class TestMakeState:
@@ -631,6 +632,16 @@ class TestStructuredErrors:
             Channel(sp, sp, rows)
         assert err.value.element == "zz" and err.value.space is sp
         assert str(err.value) == "'zz' is not an element of space 's'"
+
+    def test_channel_called_on_an_element_is_its_row(self, disease):
+        disease_sp, test_sp, _, _, sens, _ = disease
+        assert sens("d") is sens.rows["d"]
+        assert sens("d") == make_state(test_sp, {"t": F(9, 10), "~t": F(1, 10)})
+        with pytest.raises(UnknownElement) as err:
+            sens("t")
+        assert err.value.element == "t" and err.value.space is disease_sp
+        assert repr(sens) == "<Channel 'disease' -> 'test'>"
+        assert str(sens) == "d -> 9/10|t> + 1/10|~t>\n~d -> 1/20|t> + 19/20|~t>"
 
     def test_channel_rows_may_be_built_states(self):
         sp = self.SP

@@ -2,6 +2,7 @@
 static space-checking, evaluation, and render round-trips."""
 
 import copy
+import gc
 import pickle
 import random
 import re
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softbayes import core, errors, oracle, updates
+from softbayes.core import MAX_PRODUCT
 from softbayes.cli import corpus_names, corpus_source
 from softbayes.errors import NumberTooLarge, SpaceMismatch, ZeroMass
 from softbayes.netspec import (
     MAX_NESTING,
-    MAX_PRODUCT,
     OPERATIONS,
     Call,
     NameRef,
@@ -745,9 +746,11 @@ class TestParse:
             f"1:{13 + MAX_NESTING}: error: nested more than {MAX_NESTING} levels deep"
         )
 
-    def test_product_spaces_are_capped_before_they_are_built(self):
+    def test_product_spaces_are_capped_before_they_are_built(self, monkeypatch):
         """A product space of more than MAX_PRODUCT elements, a query's or
-        an inline one, is a positioned diagnostic; parsing builds none."""
+        an inline one, is a positioned diagnostic; parsing builds none.
+        A product space is built once per pair of factor objects, while it
+        is in use: evaluation reuses the one the checker built."""
         source = corpus_source("malformed_product.netspec")
         with pytest.raises(NetspecError) as err:
             parse(source)  # q4 would have 2**32 pairs
@@ -755,9 +758,38 @@ class TestParse:
             "7:12: error: query 'q4' at q4/product: "
             "product space would have 4294967296 elements, more than 65536"
         )
+        built = []
+        monkeypatch.setattr(
+            core.ProductSpace, "__post_init__",
+            lambda space: built.append(space) or core.Space.__post_init__(space),
+        )
         env = load(source.rsplit("query q4", 1)[0])  # q3 has MAX_PRODUCT pairs
+        assert [len(space) for space in built] == [4, 16, 256, MAX_PRODUCT]
         assert len(env.queries["q3"].info) == MAX_PRODUCT
         assert str(evaluate(env, "other").value) == "1|a>"
+        del built[:]
+        assert evaluate(env, "q3").value.space is env.queries["q3"].info
+        assert built == []
+        monkeypatch.undo()
+
+        barber = load(corpus_source("barber.netspec"))
+        assert barber.channels["ring"].domain is barber.queries["joint_prior"].info
+        left, right = (
+            core.Space(name, [f"{name}{i}" for i in range(n)])
+            for name, n in (("x", 257), ("y", 256))
+        )
+        with pytest.raises(SpaceMismatch) as err:  # a library call too
+            core.product_state(core.uniform_state(left), core.uniform_state(right))
+        assert str(err.value) == (
+            "product space would have 65792 elements, more than 65536"
+        )
+        right = core.Space("y", ("y0",))
+        key = id(left), id(right)
+        pair = core.product_space(left, right)
+        assert core._products[key] is pair is core.product_space(left, right)
+        del pair
+        gc.collect()
+        assert key not in core._products
 
         def inline(n):  # a state on an inline product of n * 256 pairs
             xs = ", ".join(f"x{i}" for i in range(n))
@@ -992,7 +1024,7 @@ class TestCompileAndEvaluate:
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
         ]
         for copied in copies:
-            assert copied == env
+            assert copied == env and copied is not env
             for query in env.queries:
                 assert evaluate(copied, query) == evaluate(env, query)
 
